@@ -34,7 +34,7 @@ from .constructions import (
     sliced_blowup,
     turan_blowup,
 )
-from .errors import DomainError, InternalConsistencyError, SizeCapError
+from .errors import DomainError, GraphStructureError, InternalConsistencyError, SizeCapError
 from .graphio import dumps_graph, graph_to_json_dict, loads_graph, from_dimacs, to_dimacs
 from .graphs import MultipartiteGraph
 from .oracle import DEFAULT_CAP, duality_audit, oracle_delta, oracle_f
@@ -144,7 +144,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _read_graph_file(path: str) -> MultipartiteGraph:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphStructureError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    except IsADirectoryError:
+        raise DomainError(f"{path} is a directory, not a graph file") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return loads_graph(text)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain, compress, count, repeat
 from typing import Iterable, Iterator
 
 from .errors import GraphStructureError
@@ -28,7 +29,33 @@ __all__ = [
     "empty_graph",
     "complete_multipartite",
     "from_edges",
+    "bit_indices",
+    "MAX_VERTICES",
 ]
+
+MAX_VERTICES = 1 << 14
+"""Largest vertex count ``from_edges`` accepts, checked before it allocates.
+
+Dense rows cost n * n / 8 bytes and ``from_edges`` holds them twice while
+it converts, so 2**14 vertices bound what a malformed or hostile graph file
+can make a reader allocate to about 64 MiB. That is more than six times the
+2600-vertex constructions verified routinely, and a dense graph at the
+limit already needs a DIMACS file of over a gigabyte.
+"""
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_BYTE_BITS = tuple(1 << i for i in range(8))
+
+
+def bit_indices(mask: int, start: int = 0) -> Iterator[int]:
+    """Positions of the set bits of a non-negative ``mask``, ascending,
+    each shifted by ``start``.
+
+    The binary digits, lowest first, become 0/1 bytes that select from a
+    counter, so the whole mask is enumerated in C rather than one Python
+    step per bit.
+    """
+    return compress(count(start), bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
 
 
 def _normalized_part_sizes(part_sizes: Iterable[int]) -> tuple[int, ...]:
@@ -125,13 +152,11 @@ class MultipartiteGraph:
         return self.rows[v]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges as (u, v) with u < v, in ascending lexicographic order."""
-        for u, row in enumerate(self.rows):
-            m = row >> (u + 1)
-            while m:
-                b = m & -m
-                yield (u, u + 1 + b.bit_length() - 1)
-                m ^= b
+        """Edges as (u, v) with u < v, in ascending lexicographic order."""
+        return chain.from_iterable(
+            zip(repeat(u), bit_indices(row >> (u + 1), u + 1))
+            for u, row in enumerate(self.rows)
+        )
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
@@ -165,11 +190,17 @@ class MultipartiteGraph:
     # -- identity ------------------------------------------------------
 
     def digest(self) -> str:
-        """Content hash of the part structure plus the sorted edge list."""
-        h = hashlib.sha256()
-        h.update(repr(self.part_sizes).encode())
-        h.update(b"|")
-        h.update(repr(list(self.edges())).encode())
+        """Content hash of the part sizes and the adjacency rows.
+
+        SHA-256 over a domain tag, the part sizes in decimal, and every row
+        as ceil(n / 8) little-endian bytes. Equal graphs hash equal whatever
+        format they were read from.
+        """
+        width = (self.n_vertices + 7) >> 3
+        h = hashlib.sha256(b"mpturan.graph.rows.v1\0")
+        h.update(",".join(map(str, self.part_sizes)).encode() + b"\0")
+        for row in self.rows:
+            h.update(row.to_bytes(width, "little"))
         return "sha256:" + h.hexdigest()
 
     def __eq__(self, other: object) -> bool:
@@ -245,7 +276,48 @@ def complete_multipartite(part_sizes: Iterable[int]) -> MultipartiteGraph:
 def from_edges(
     part_sizes: Iterable[int], edges: Iterable[tuple[int, int]]
 ) -> MultipartiteGraph:
-    return GraphBuilder(part_sizes).add_edges(edges).finalize()
+    """Graph on the given parts with the given (u, v) edges, 0-based.
+
+    Repeated edges are harmless. An endpoint outside the vertex range, a
+    self-loop, or a pair inside one part raises ``GraphStructureError``, as
+    does a vertex count above ``MAX_VERTICES``. Bits are set in one
+    bytearray per vertex; loops and intra-part pairs are then found on the
+    finished rows with one mask test per vertex.
+    """
+    sizes = _normalized_part_sizes(part_sizes)
+    n = sum(sizes)
+    if n > MAX_VERTICES:
+        raise GraphStructureError(
+            f"{n} vertices exceed the limit of {MAX_VERTICES}"
+        )
+    width = (n + 7) >> 3
+    bufs = [bytearray(width) for _ in range(n)]
+    bit = _BYTE_BITS
+    u = v = 0
+    try:
+        for u, v in edges:
+            if u < 0 or v < 0:  # a negative index would wrap around silently
+                raise IndexError
+            bufs[u][v >> 3] |= bit[v & 7]
+            bufs[v][u >> 3] |= bit[u & 7]
+    except IndexError:
+        if 0 <= u < n and 0 <= v < n:
+            raise
+        bad = v if 0 <= u < n else u
+        raise GraphStructureError(f"vertex id {bad} out of range [0, {n})") from None
+    g = MultipartiteGraph(
+        sizes, [int.from_bytes(b, "little") for b in bufs], validate=False
+    )
+    for v, row in enumerate(g.rows):
+        inside = row & g.part_masks[g.part_of[v]]
+        if inside:
+            if (row >> v) & 1:
+                raise GraphStructureError(f"self-loop at vertex {v}")
+            u = inside.bit_length() - 1
+            raise GraphStructureError(
+                f"vertices {v} and {u} are both in part {g.part_of[v]}"
+            )
+    return g
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ representative per distinct row is branched on; the structured graphs
 this package builds collapse dramatically under that reduction.
 
 Coloring search is exact backtracking in saturation order with forward
-checking, so a None answer really means no coloring exists.
+checking, so a None answer really means no coloring exists. It runs on the
+twin quotient: vertices with identical rows are never adjacent and can
+share a color, so a blow-up shrinks to a few classes per part.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .bounds import aes_threshold
 from .errors import DomainError, UnknownClaimError
-from .graphs import ColorPartition, MultipartiteGraph
+from .graphs import ColorPartition, MultipartiteGraph, bit_indices
 
 __all__ = [
     "max_clique",
@@ -133,15 +135,52 @@ def find_crossing_independent(
 def find_coloring(g: MultipartiteGraph, t: int) -> ColorPartition | None:
     """A proper coloring with at most t classes, or None if none exists.
 
-    Backtracking in saturation order (most distinctly colored neighbors
-    first, ties by degree, then lowest id) with forward checking and the
-    usual new-color symmetry break. Exhaustive, hence exact.
+    Vertices with identical rows form one class of the twin quotient. Twins
+    are never adjacent, so a coloring of the quotient lifts to ``g`` by
+    giving each vertex its class's color; the quotient is the subgraph
+    induced by one representative per class, so a quotient with no
+    t-coloring means ``g`` has none either.
     """
     if t < 1:
         raise DomainError(f"need at least one color, got t={t}")
-    n = g.n_vertices
     rows = g.rows
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 100))
+    class_ids: dict[int, int] = {}
+    reps: list[int] = []
+    class_of: list[int] = []
+    for v, row in enumerate(rows):
+        c = class_ids.get(row)
+        if c is None:
+            c = class_ids[row] = len(reps)
+            reps.append(v)
+        class_of.append(c)
+    rep_mask = 0
+    for v in reps:
+        rep_mask |= 1 << v
+    quotient = []
+    for v in reps:
+        q = 0
+        for u in bit_indices(rows[v] & rep_mask):
+            q |= 1 << class_of[u]
+        quotient.append(q)
+    degrees = [rows[v].bit_count() for v in reps]
+    colors = _saturation_coloring(quotient, degrees, t)
+    if colors is None:
+        return None
+    return ColorPartition(tuple(colors[c] for c in class_of), t)
+
+
+def _saturation_coloring(
+    rows: Sequence[int], degrees: Sequence[int], t: int
+) -> list[int] | None:
+    """Colors 0..t-1 per vertex of the graph given by ``rows``, or None.
+
+    Backtracking in saturation order (most distinctly colored neighbors
+    first, ties by ``degrees``, then lowest id) with forward checking and
+    the usual new-color symmetry break. Exhaustive, hence exact. The search
+    recurses once per vertex; a recursion limit raised for it is restored
+    before returning.
+    """
+    n = len(rows)
     full_palette = (1 << t) - 1
     colors = [-1] * n
     forbidden = [0] * n
@@ -154,7 +193,7 @@ def find_coloring(g: MultipartiteGraph, t: int) -> ColorPartition | None:
             return True
         v = max(
             uncolored,
-            key=lambda u: (forbidden[u].bit_count(), rows[u].bit_count(), -u),
+            key=lambda u: (forbidden[u].bit_count(), degrees[u], -u),
         )
         allowed = ~forbidden[v] & full_palette & ((1 << min(used + 1, t)) - 1)
         if not allowed:
@@ -191,9 +230,14 @@ def find_coloring(g: MultipartiteGraph, t: int) -> ColorPartition | None:
         uncolored.add(v)
         return False
 
-    if rec():
-        return ColorPartition(tuple(colors), t)
-    return None
+    limit = sys.getrecursionlimit()
+    if limit < 2 * n + 100:
+        sys.setrecursionlimit(2 * n + 100)
+    try:
+        found = rec()
+    finally:
+        sys.setrecursionlimit(limit)
+    return colors if found else None
 
 
 def aes_check(g: MultipartiteGraph, t: int) -> str:

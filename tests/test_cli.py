@@ -283,3 +283,31 @@ def test_table_text_output(capsys):
     lines = out.strip().splitlines()
     assert any("378" in line and "exact" in line for line in lines)
     assert any("496" in line and "498" in line for line in lines)
+
+
+_BAD_GRAPH_FILES = {
+    "problem line": b"c part-sizes 1 1\np edge x 1\ne 1 2\n",
+    "edge line": b"c part-sizes 1 1\np edge 2 1\ne 1 z\n",
+    "part sizes": b"c part-sizes 2 x\np edge 2 0\n",
+    "vertex id 0": b"c part-sizes 1 1\ne 0 1\n",
+    "dimacs vertex limit": b"c part-sizes 1000000000\n",
+    "not utf-8": b"c part-sizes 1 1\ne 1 2 \xff\xfe\n",
+    "json true id": b'{"schema_version": 1, "part_sizes": [1, 1], "edges": [[true, 1]]}',
+    "json float id": b'{"schema_version": 1, "part_sizes": [1, 1], "edges": [[0, 1.5]]}',
+    "json bool part size": b'{"schema_version": 1, "part_sizes": [true, 1], "edges": []}',
+    "json vertex limit": b'{"schema_version": 1, "part_sizes": [1000000000], "edges": []}',
+    "json nesting": b"{" + b'"a":{' * 100000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_GRAPH_FILES) + ["directory"])
+def test_verify_malformed_input_exit_code(tmp_path, capsys, case):
+    if case == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "g.in"
+        path.write_bytes(_BAD_GRAPH_FILES[case])
+    code, out, err = run(capsys, "verify", "--in", str(path), "--claim", "kfree=3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

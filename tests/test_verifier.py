@@ -1,7 +1,11 @@
 import json
 import random
+import sys
 
 import pytest
+from graph_strategies import multipartite_graphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpturan.constructions import (
     apex_blowup,
@@ -101,6 +105,57 @@ def test_find_coloring_complete():
     assert find_coloring(g, 3) is None
     four = find_coloring(g, 4)
     assert four is not None and four.is_proper(g)
+
+
+def _brute_colorable(g, t):
+    """Exhaustive search in vertex order; a new color only after all lower ones."""
+    n = g.n_vertices
+    colors = []
+
+    def extend(v):
+        if v == n:
+            return True
+        for c in range(min(t, max(colors, default=-1) + 2)):
+            if all(colors[u] != c for u in range(v) if g.has_edge(u, v)):
+                colors.append(c)
+                if extend(v + 1):
+                    return True
+                colors.pop()
+        return False
+
+    return extend(0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multipartite_graphs(max_parts=6, max_vertices=10), st.integers(1, 4))
+def test_find_coloring_matches_brute_force(g, t):
+    coloring = find_coloring(g, t)
+    assert (coloring is not None) == _brute_colorable(g, t)
+    if coloring is not None:
+        assert len(coloring.colors) == g.n_vertices
+        assert coloring.num_colors == t
+        assert coloring.is_proper(g)
+
+
+def test_find_coloring_at_construction_scale():
+    g = sliced_blowup(200, 13, 3).graph
+    coloring = find_coloring(g, 3)
+    assert coloring is not None and coloring.is_proper(g)
+    assert find_coloring(g, 2) is None
+
+
+def test_find_coloring_restores_recursion_limit():
+    # a path on 100 one-vertex parts has no twins, so the search needs a
+    # depth of about 100 and must raise a limit of 200 for the call only
+    path = from_edges([1] * 100, [(v, v + 1) for v in range(99)])
+    before = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(200)
+        coloring = find_coloring(path, 2)
+        assert sys.getrecursionlimit() == 200
+    finally:
+        sys.setrecursionlimit(before)
+    assert coloring is not None and coloring.is_proper(path)
 
 
 def test_aes_confirmed():
