@@ -35,8 +35,8 @@ from .constructions import (
     turan_blowup,
 )
 from .errors import DomainError, GraphStructureError, InternalConsistencyError, SizeCapError
-from .graphio import dumps_graph, graph_to_json_dict, loads_graph, from_dimacs, to_dimacs
-from .graphs import MultipartiteGraph
+from .graphio import graph_to_json_dict, loads_graph, from_dimacs, to_dimacs, write_text
+from .graphs import MAX_VERTICES, MultipartiteGraph
 from .oracle import DEFAULT_CAP, duality_audit, oracle_delta, oracle_f
 from .verifier import REFUTED, aes_check, certify
 
@@ -48,14 +48,20 @@ def _env_jobs() -> int | None:
     if raw is None or raw == "":
         return None
     try:
-        return int(raw)
+        jobs = int(raw)
     except ValueError:
-        raise DomainError(f"MPTURAN_JOBS must be an integer, got {raw!r}")
+        jobs = 0
+    if jobs < 1:
+        raise DomainError(f"MPTURAN_JOBS must be a positive integer, got {raw!r}")
+    return jobs
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        try:
+            write_text(out, text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write {out}: {exc.strerror}") from None
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -107,6 +113,12 @@ def _composition_from_defaults(n: int, r0: int, t0: int, k: int) -> Construction
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    blocks = args.k if args.method == "composition" else 1
+    if blocks * args.r * args.n > MAX_VERTICES:
+        raise DomainError(
+            f"the {args.method} construction would have {blocks * args.r * args.n} "
+            f"vertices, above the limit of {MAX_VERTICES}"
+        )
     if args.method == "turan":
         built = turan_blowup(args.n, args.r, args.t)
     elif args.method == "sliced":
@@ -202,12 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     jobs = args.jobs if args.jobs is not None else _env_jobs()
     size = args.t + 1
-    kw = dict(
-        cap=args.cap,
-        jobs=jobs,
-        symmetry_reduction=args.symmetry_reduction,
-        seed=args.seed,
-    )
+    kw = dict(cap=args.cap, jobs=jobs, seed=args.seed)
     if args.mode == "audit":
         audit = duality_audit(args.n, args.r, size, **kw)
         audit["t"] = args.t
@@ -369,11 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: MPTURAN_JOBS, else serial)",
     )
     p.add_argument("--seed", type=int, help="shuffle the pair order deterministically")
-    p.add_argument(
-        "--symmetry-reduction",
-        action="store_true",
-        help="prune assignments that are provably not lex-maximal in their orbit",
-    )
     _add_common_output(p, ("text", "json"))
     p.set_defaults(func=_cmd_oracle)
 

@@ -16,6 +16,8 @@ gives a graph or raises ``GraphStructureError``.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from array import array
 from pathlib import Path
 from typing import Iterator
@@ -31,6 +33,7 @@ __all__ = [
     "loads_graph",
     "write_graph",
     "read_graph",
+    "write_text",
     "to_dimacs",
     "from_dimacs",
 ]
@@ -85,8 +88,25 @@ def loads_graph(text: str) -> MultipartiteGraph:
     return graph_from_json_dict(doc)
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Replace the contents of ``path`` with ``text`` as UTF-8.
+
+    The file is opened without O_TRUNC: truncating a file whose last
+    contents are not yet written back makes the open wait for that
+    writeback. Every byte is written first, and a regular file is then cut
+    to the new length. Other targets, such as ``/dev/stdout`` or a FIFO,
+    are written in place; the path itself is never unlinked or replaced.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            os.ftruncate(fh.fileno(), len(data))
+
+
 def write_graph(g: MultipartiteGraph, path: str | Path) -> None:
-    Path(path).write_text(dumps_graph(g) + "\n", encoding="utf-8")
+    write_text(path, dumps_graph(g) + "\n")
 
 
 def read_graph(path: str | Path) -> MultipartiteGraph:

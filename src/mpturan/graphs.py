@@ -163,6 +163,23 @@ class MultipartiteGraph:
 
     # -- derived graphs ------------------------------------------------
 
+    def with_rows(self, rows: Iterable[int]) -> "MultipartiteGraph":
+        """A graph on the same parts with other adjacency rows, unvalidated.
+
+        The part data of ``self`` is shared instead of recomputed, which
+        makes this the cheap way to wrap many row lists on one partition.
+        The caller guarantees that ``rows`` is a valid adjacency: one row
+        per vertex, symmetric, with no pair inside a part.
+        """
+        g = object.__new__(MultipartiteGraph)
+        g.part_sizes = self.part_sizes
+        g.offsets = self.offsets
+        g.part_of = self.part_of
+        g.part_masks = self.part_masks
+        g.full_mask = self.full_mask
+        g.rows = tuple(rows)
+        return g
+
     def with_edge(self, u: int, v: int) -> "MultipartiteGraph":
         """Return a copy with edge (u, v) added; the call is idempotent."""
         self._check_cross_pair(u, v)
@@ -171,7 +188,7 @@ class MultipartiteGraph:
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return MultipartiteGraph(self.part_sizes, rows, validate=False)
+        return self.with_rows(rows)
 
     def cross_complement(self) -> "MultipartiteGraph":
         """Flip every cross-part pair; intra-part pairs stay non-edges.
@@ -185,7 +202,7 @@ class MultipartiteGraph:
             (full & ~row) & ~self.part_masks[self.part_of[v]]
             for v, row in enumerate(self.rows)
         ]
-        return MultipartiteGraph(self.part_sizes, rows, validate=False)
+        return self.with_rows(rows)
 
     # -- identity ------------------------------------------------------
 
@@ -267,10 +284,9 @@ def empty_graph(part_sizes: Iterable[int]) -> MultipartiteGraph:
 def complete_multipartite(part_sizes: Iterable[int]) -> MultipartiteGraph:
     """Complete multipartite graph: every cross-part pair is an edge."""
     g = empty_graph(part_sizes)
-    rows = [
+    return g.with_rows(
         g.full_mask & ~g.part_masks[g.part_of[v]] for v in range(g.n_vertices)
-    ]
-    return MultipartiteGraph(g.part_sizes, rows, validate=False)
+    )
 
 
 def from_edges(

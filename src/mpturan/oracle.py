@@ -15,7 +15,11 @@ complementation.
 
 Both searches are exact but exponential, so instances are capped at a
 small vertex count by default; the cap is a safety rail, not a
-correctness bound, and callers may raise it explicitly.
+correctness bound, and callers may raise it explicitly. By default they
+skip every assignment that adjacent part and vertex swaps prove is not
+the lexicographically greatest of its orbit (a partial lex-leader check
+after Crawford, Ginsberg, Luks and Roy, KR 1996); every orbit keeps its
+leader, so the values are those of the unpruned search.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalConsistencyError, SizeCapError
-from .graphs import MultipartiteGraph
+from .graphs import MultipartiteGraph, complete_multipartite
 from .verifier import find_clique, find_crossing_independent
 
 __all__ = [
@@ -158,7 +162,7 @@ def _decide(
     bound: int,
     pairs: list[tuple[int, int]],
     prefix: tuple[int, ...],
-    symmetry: bool,
+    gens: tuple[tuple[int, ...], ...],
 ) -> list[int] | None:
     """Decision search: adjacency rows of a feasible graph, or None.
 
@@ -166,119 +170,82 @@ def _decide(
     minimum degree at least ``bound``; mode ``delta`` for a graph with no
     crossing independent set of ``size`` vertices and maximum degree at
     most ``bound``. Pairs are decided strictly in list order, include
-    branch first.
+    branch first; assignments that ``gens`` prove not lex-maximal in
+    their orbit are pruned.
     """
-    total = r * n
     npairs = len(pairs)
-    part_sizes = (n,) * r
-    rows = [0] * total
-    deg = [0] * total
-    # pot[v] = degree v would reach if every still-undecided pair at v
-    # were included; once it dips below the target the branch is dead
-    pot = [(r - 1) * n] * total
+    template = complete_multipartite((n,) * r)
+    # rows: the included pairs; comp: every pair not yet excluded, i.e.
+    # the graph that includes all undecided pairs. An include changes
+    # only rows and an exclude only comp.
+    rows = [0] * template.n_vertices
+    comp = list(template.rows)
+    wrap = template.with_rows
     a: list[int] = []
-    gens = _position_perms(n, r, pairs) if symmetry else ()
-
-    def graph_of(rs: list[int]) -> MultipartiteGraph:
-        return MultipartiteGraph(part_sizes, tuple(rs), validate=False)
-
-    def completion_rows() -> list[int]:
-        comp = rows[:]
-        for k in range(len(a), npairs):
-            u, v = pairs[k]
-            comp[u] |= 1 << v
-            comp[v] |= 1 << u
-        return comp
 
     def include_ok(k: int) -> bool:
         u, v = pairs[k]
         if mode == MODE_F:
             return not _mask_has_clique(rows, rows[u] & rows[v], size - 2)
-        return deg[u] < bound and deg[v] < bound
+        return rows[u].bit_count() < bound and rows[v].bit_count() < bound
 
     def exclude_ok(k: int) -> bool:
         if mode == MODE_F:
+            # comp degrees are the most each vertex can still reach
             u, v = pairs[k]
-            return pot[u] - 1 >= bound and pot[v] - 1 >= bound
+            return comp[u].bit_count() > bound and comp[v].bit_count() > bound
         return True
 
-    def push(k: int, val: int) -> None:
+    def flip(k: int, val: int) -> None:
         u, v = pairs[k]
-        if val:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            deg[u] += 1
-            deg[v] += 1
-        else:
-            pot[u] -= 1
-            pot[v] -= 1
-        a.append(val)
+        side = rows if val else comp
+        side[u] ^= 1 << v
+        side[v] ^= 1 << u
 
-    def pop(k: int) -> None:
-        val = a.pop()
-        u, v = pairs[k]
-        if val:
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-            deg[u] -= 1
-            deg[v] -= 1
-        else:
-            pot[u] += 1
-            pot[v] += 1
+    def rec(k: int, last: int | None) -> list[int] | None:
+        """Search below the node with ``k`` pairs decided, the last of
+        them to ``last`` (None at the entry node).
 
-    def success_now() -> list[int] | None:
+        A probe whose graph the last decision left unchanged would repeat
+        the parent's probe, which did not end the search, so it is
+        skipped: in mode f the completion is comp, which an include keeps;
+        in mode delta the success graph is rows, which an exclude keeps,
+        and the dead-end graph is comp.
+        """
+        if gens and _lex_pruned(a, gens):
+            return None
         if mode == MODE_F:
-            # include everything still open: degrees land on pot, which
+            # include everything still open: degrees land on comp, which
             # the exclude guard keeps at or above the target
-            comp = completion_rows()
-            if find_clique(graph_of(comp), size) is None:
-                return comp
-            return None
-        # excluding everything still open keeps the graph as it stands
-        if find_crossing_independent(graph_of(rows), size) is None:
+            if last != 1 and find_clique(wrap(comp), size) is None:
+                return comp[:]
+        elif last != 0 and find_crossing_independent(wrap(rows), size) is None:
+            # excluding everything still open keeps the graph as it stands
             return rows[:]
-        return None
-
-    def rec(k: int) -> list[int] | None:
-        if symmetry and _lex_pruned(a, gens):
-            return None
-        found = success_now()
-        if found is not None:
-            return found
         if k == npairs:
             return None
-        if mode == MODE_DELTA:
+        if mode == MODE_DELTA and last != 1:
             # even including every remaining pair leaves an independent
             # crossing set, and more edges only help, so give up here
-            comp = completion_rows()
-            if find_crossing_independent(graph_of(comp), size) is not None:
+            if find_crossing_independent(wrap(comp), size) is not None:
                 return None
-        if include_ok(k):
-            push(k, 1)
-            found = rec(k + 1)
-            pop(k)
-            if found is not None:
-                return found
-        if exclude_ok(k):
-            push(k, 0)
-            found = rec(k + 1)
-            pop(k)
-            if found is not None:
-                return found
+        for val, ok in ((1, include_ok), (0, exclude_ok)):
+            if ok(k):
+                flip(k, val)
+                a.append(val)
+                found = rec(k + 1, val)
+                a.pop()
+                flip(k, val)
+                if found is not None:
+                    return found
         return None
 
     for k, val in enumerate(prefix):
-        if val and not include_ok(k):
+        if not (include_ok if val else exclude_ok)(k):
             return None
-        if not val and not exclude_ok(k):
-            return None
-        push(k, val)
-    return rec(len(prefix))
-
-
-def _decision_task(args: tuple) -> list[int] | None:
-    mode, n, r, size, bound, pairs, prefix, symmetry = args
-    return _decide(mode, n, r, size, bound, pairs, prefix, symmetry)
+        flip(k, val)
+        a.append(val)
+    return rec(len(prefix), None)
 
 
 def _search(
@@ -289,7 +256,7 @@ def _search(
     bound: int,
     pairs: list[tuple[int, int]],
     jobs: int | None,
-    symmetry: bool,
+    gens: tuple[tuple[int, ...], ...],
 ) -> list[int] | None:
     """Run one decision, fanning out over the first two pairs if asked.
 
@@ -299,11 +266,11 @@ def _search(
     """
     if jobs is not None and jobs > 1 and len(pairs) >= 2:
         tasks = [
-            (mode, n, r, size, bound, pairs, prefix, symmetry)
+            (mode, n, r, size, bound, pairs, prefix, gens)
             for prefix in ((1, 1), (1, 0), (0, 1), (0, 0))
         ]
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(_decision_task, t) for t in tasks]
+            futures = [pool.submit(_decide, *t) for t in tasks]
             for i, fut in enumerate(futures):
                 rows = fut.result()
                 if rows is not None:
@@ -311,21 +278,68 @@ def _search(
                         later.cancel()
                     return rows
         return None
-    return _decide(mode, n, r, size, bound, pairs, (), symmetry)
+    return _decide(mode, n, r, size, bound, pairs, (), gens)
 
 
-def _validate_common(n: int, r: int, size: int, cap: int) -> None:
+def _solve(
+    mode: str,
+    n: int,
+    r: int,
+    size: int,
+    cap: int,
+    jobs: int | None,
+    symmetry_reduction: bool,
+    seed: int | None,
+) -> OracleResult:
+    """Binary search on the degree target over exhaustive decisions.
+
+    Feasibility is monotone in the target: downward in mode f, where the
+    value is the largest feasible minimum degree, and upward in mode
+    delta, where it is the smallest feasible maximum degree. The returned
+    witness attains the value exactly.
+    """
     if n < 1:
         raise DomainError(f"part size must be >= 1, got n={n}")
     if r < 2:
         raise DomainError(f"need at least two parts, got r={r}")
     if size < 2:
         raise DomainError(f"forbidden structure needs >= 2 vertices, got {size}")
+    if cap < 1:
+        raise DomainError(f"size cap must be >= 1, got {cap}")
+    if jobs is not None and jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     if r * n > cap:
         raise SizeCapError(
             f"instance has {r * n} vertices but the exhaustive search is "
             f"capped at {cap}; pass a larger cap to override"
         )
+    pairs = _cross_pairs(n, r, seed)
+    gens = _position_perms(n, r, pairs) if symmetry_reduction else ()
+    largest = mode == MODE_F
+
+    def decide(bound: int) -> list[int] | None:
+        return _search(mode, n, r, size, bound, pairs, jobs, gens)
+
+    lo, high, best = 0, (r - 1) * n, None
+    while lo < high:
+        mid = (lo + high + largest) // 2
+        rows = decide(mid)
+        if rows is None:
+            lo, high = (lo, mid - 1) if largest else (mid + 1, high)
+        else:
+            best = rows
+            lo, high = (mid, high) if largest else (lo, mid)
+    if best is None:
+        best = decide(lo)
+    if best is None:
+        raise InternalConsistencyError("decision failed at the trivial target")
+    witness = MultipartiteGraph((n,) * r, tuple(best))
+    kind, degree = (
+        ("minimum", witness.min_degree()) if largest else ("maximum", witness.max_degree())
+    )
+    if degree != lo:
+        raise InternalConsistencyError(f"witness {kind} degree {degree} != value {lo}")
+    return OracleResult(mode, n, r, size, lo, witness)
 
 
 def oracle_f(
@@ -335,40 +349,15 @@ def oracle_f(
     *,
     cap: int = DEFAULT_CAP,
     jobs: int | None = None,
-    symmetry_reduction: bool = False,
+    symmetry_reduction: bool = True,
     seed: int | None = None,
 ) -> OracleResult:
     """Largest minimum degree of a K_q-free r-partite graph, parts of size n.
 
-    Binary search on the degree target over exhaustive decisions. The
-    returned witness attains the value exactly.
+    ``symmetry_reduction=False`` runs the unpruned search, kept as the
+    reference the pruned one is tested against.
     """
-    _validate_common(n, r, q, cap)
-    pairs = _cross_pairs(n, r, seed)
-    hi = (r - 1) * n
-
-    def decide(bound: int) -> list[int] | None:
-        return _search(MODE_F, n, r, q, bound, pairs, jobs, symmetry_reduction)
-
-    lo, best = 0, None
-    high = hi
-    while lo < high:
-        mid = (lo + high + 1) // 2
-        rows = decide(mid)
-        if rows is not None:
-            lo, best = mid, rows
-        else:
-            high = mid - 1
-    if best is None:
-        best = decide(lo)
-    if best is None:
-        raise InternalConsistencyError("decision failed at the trivial target")
-    witness = MultipartiteGraph((n,) * r, tuple(best))
-    if witness.min_degree() != lo:
-        raise InternalConsistencyError(
-            f"witness minimum degree {witness.min_degree()} != value {lo}"
-        )
-    return OracleResult(MODE_F, n, r, q, lo, witness)
+    return _solve(MODE_F, n, r, q, cap, jobs, symmetry_reduction, seed)
 
 
 def oracle_delta(
@@ -378,37 +367,12 @@ def oracle_delta(
     *,
     cap: int = DEFAULT_CAP,
     jobs: int | None = None,
-    symmetry_reduction: bool = False,
+    symmetry_reduction: bool = True,
     seed: int | None = None,
 ) -> OracleResult:
     """Smallest maximum degree of an r-partite graph, parts of size n, in
     which no s vertices from s distinct parts are pairwise non-adjacent."""
-    _validate_common(n, r, s, cap)
-    pairs = _cross_pairs(n, r, seed)
-    hi = (r - 1) * n
-
-    def decide(bound: int) -> list[int] | None:
-        return _search(MODE_DELTA, n, r, s, bound, pairs, jobs, symmetry_reduction)
-
-    lo, best = 0, None
-    high = hi
-    while lo < high:
-        mid = (lo + high) // 2
-        rows = decide(mid)
-        if rows is not None:
-            high, best = mid, rows
-        else:
-            lo = mid + 1
-    if best is None:
-        best = decide(lo)
-    if best is None:
-        raise InternalConsistencyError("decision failed at the trivial target")
-    witness = MultipartiteGraph((n,) * r, tuple(best))
-    if witness.max_degree() != lo:
-        raise InternalConsistencyError(
-            f"witness maximum degree {witness.max_degree()} != value {lo}"
-        )
-    return OracleResult(MODE_DELTA, n, r, s, lo, witness)
+    return _solve(MODE_DELTA, n, r, s, cap, jobs, symmetry_reduction, seed)
 
 
 def duality_audit(
@@ -418,7 +382,7 @@ def duality_audit(
     *,
     cap: int = DEFAULT_CAP,
     jobs: int | None = None,
-    symmetry_reduction: bool = False,
+    symmetry_reduction: bool = True,
     seed: int | None = None,
 ) -> dict:
     """Check both oracles against each other through the cross complement.

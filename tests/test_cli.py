@@ -311,3 +311,33 @@ def test_verify_malformed_input_exit_code(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+_ORACLE = ["oracle", "--mode", "f", "--n", "1", "--r", "4", "--t", "3"]
+# each construct case builds just past graphs.MAX_VERTICES = 16384 vertices
+_BAD_ARGUMENTS = {
+    "oracle cap 0": (_ORACLE + ["--cap", "0"], None),
+    "oracle cap -1": (_ORACLE + ["--cap", "-1"], None),
+    "oracle jobs 0": (_ORACLE + ["--jobs", "0"], None),
+    "oracle jobs -3": (_ORACLE + ["--jobs", "-3"], None),
+    "MPTURAN_JOBS 0": (_ORACLE, "0"),
+    "MPTURAN_JOBS -3": (_ORACLE, "-3"),
+    "output is a directory": (["bounds", "--n", "3", "--r", "5", "--t", "2", "--out", "."], None),
+    "construct turan": (["construct", "--method", "turan", "--n", "8193", "--r", "2", "--t", "2"], None),
+    "construct sliced": (["construct", "--method", "sliced", "--n", "1639", "--r", "10", "--t", "3"], None),
+    "construct apex": (["construct", "--method", "apex", "--n", "1171", "--r", "14", "--t", "6"], None),
+    "construct composition": (
+        ["construct", "--method", "composition", "--n", "2731", "--r", "3", "--t", "2"], None
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))
+def test_bad_arguments_exit_code(capsys, monkeypatch, case):
+    argv, env_jobs = _BAD_ARGUMENTS[case]
+    if env_jobs is not None:
+        monkeypatch.setenv("MPTURAN_JOBS", env_jobs)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

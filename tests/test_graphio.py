@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from graph_strategies import multipartite_graphs
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from mpturan.constructions import sliced_blowup, turan_blowup
 from mpturan.errors import GraphStructureError
-from mpturan.graphio import dumps_graph, from_dimacs, loads_graph, to_dimacs
+from mpturan.graphio import dumps_graph, from_dimacs, loads_graph, to_dimacs, write_text
 from mpturan.graphs import MAX_VERTICES
 
 
@@ -203,3 +204,16 @@ def test_loads_graph_any_text_gives_graph_or_structure_error(text):
     except GraphStructureError:
         return
     assert loads_graph(dumps_graph(g)) == g
+
+
+def test_write_text_replaces_longer_contents(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text(path, "a much longer first version\n")
+    write_text(path, "short\n")
+    assert path.read_bytes() == b"short\n"
+    write_text(path, "caf\u00e9\n")
+    assert path.read_bytes() == "caf\u00e9\n".encode("utf-8")
+
+
+def test_write_text_to_a_device():
+    write_text(os.devnull, "discarded\n")

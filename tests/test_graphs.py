@@ -143,3 +143,11 @@ def test_complement_degree_identity(data):
     assert comp.cross_complement() == g
     for v in range(g.n_vertices):
         assert g.degree(v) + comp.degree(v) == (r - 1) * n
+
+
+def test_with_rows_reuses_part_data():
+    g = complete_multipartite([2, 3])
+    h = g.with_rows([0] * 5)
+    assert h == empty_graph([2, 3])
+    assert h.part_masks is g.part_masks and h.part_of is g.part_of
+    assert g.cross_complement() == h

@@ -3,8 +3,9 @@ import math
 import pytest
 
 from mpturan.bounds import exact_value_cases, transversal_clique_value, turan_sandwich
+from mpturan import oracle
 from mpturan.errors import DomainError, SizeCapError
-from mpturan.oracle import duality_audit, oracle_delta, oracle_f
+from mpturan.oracle import DEFAULT_CAP, duality_audit, oracle_delta, oracle_f
 from mpturan.verifier import find_clique, find_crossing_independent
 
 
@@ -113,3 +114,106 @@ def test_oracle_domain_errors():
         oracle_f(1, 1, 3)
     with pytest.raises(DomainError):
         oracle_f(1, 3, 1)
+
+
+# (f, delta) for every (n, r, s) with r * n <= DEFAULT_CAP and 2 <= s <= r + 1,
+# listed as (n, r): [value at s = 2, 3, ..., r + 1]. Computed once with
+# duality_audit(n, r, s, symmetry_reduction=False), the unpruned search
+# without probe skipping, as it stood before pruning became the default
+# (77 instances, about 15 s); the unpruned search with probe skipping gives
+# the same table.
+CAP_GRID = {
+    (1, 2): [(0, 1), (1, 0)],
+    (2, 2): [(0, 2), (2, 0)],
+    (3, 2): [(0, 3), (3, 0)],
+    (4, 2): [(0, 4), (4, 0)],
+    (5, 2): [(0, 5), (5, 0)],
+    (1, 3): [(0, 2), (1, 1), (2, 0)],
+    (2, 3): [(0, 4), (2, 2), (4, 0)],
+    (3, 3): [(0, 6), (3, 3), (6, 0)],
+    (1, 4): [(0, 3), (2, 1), (2, 1), (3, 0)],
+    (2, 4): [(0, 6), (4, 2), (4, 2), (6, 0)],
+    (1, 5): [(0, 4), (2, 2), (3, 1), (3, 1), (4, 0)],
+    (2, 5): [(0, 8), (4, 4), (6, 2), (6, 2), (8, 0)],
+    (1, 6): [(0, 5), (3, 2), (4, 1), (4, 1), (4, 1), (5, 0)],
+    (1, 7): [(0, 6), (3, 3), (4, 2), (5, 1), (5, 1), (5, 1), (6, 0)],
+    (1, 8): [(0, 7), (4, 3), (5, 2), (6, 1), (6, 1), (6, 1), (6, 1), (7, 0)],
+    (1, 9): [(0, 8), (4, 4), (6, 2), (6, 2), (7, 1), (7, 1), (7, 1), (7, 1), (8, 0)],
+    (1, 10): [(0, 9), (5, 4), (6, 3), (7, 2), (8, 1), (8, 1), (8, 1), (8, 1), (8, 1), (9, 0)],
+}
+PLAIN = {
+    (n, r, s): fd for (n, r), row in CAP_GRID.items() for s, fd in enumerate(row, start=2)
+}
+
+
+def audit_pair(n, r, s, **kw):
+    audit = duality_audit(n, r, s, **kw)
+    return audit["f"], audit["delta"]
+
+
+def test_cap_grid_table_covers_the_grid():
+    grid = {
+        (n, r, s)
+        for r in range(2, DEFAULT_CAP + 1)
+        for n in range(1, DEFAULT_CAP // r + 1)
+        for s in range(2, r + 2)
+    }
+    assert set(PLAIN) == grid
+    assert len(grid) == 77
+
+
+def test_default_audit_matches_plain_table_on_cap_grid():
+    got = {k: audit_pair(*k) for k in PLAIN}
+    assert {k: v for k, v in got.items() if v != PLAIN[k]} == {}
+
+
+def test_plain_search_reproduces_table_up_to_8_vertices():
+    small = [k for k in PLAIN if k[0] * k[1] <= 8]
+    assert len(small) == 48
+    for k in small:
+        assert audit_pair(*k, symmetry_reduction=False) == PLAIN[k], k
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_seeded_pruned_search_matches_table(seed):
+    # shuffled pair orders weaken the lex-leader pruning, which makes the
+    # 9- and 10-vertex instances take seconds each, so this stops at 8
+    for k in PLAIN:
+        if k[0] * k[1] <= 8:
+            assert audit_pair(*k, seed=seed) == PLAIN[k], (k, seed)
+
+
+def test_probe_counts_are_pinned(monkeypatch):
+    """Search probes on f(2,5,3) and delta(2,5,3), plain and pruned.
+
+    Counts depend only on the search, not the machine. Before probe
+    skipping, the plain search made 131,679 clique probes for f and
+    401,153 cover probes for delta.
+    """
+    counts = {"clique": 0, "cover": 0}
+
+    def counted(kind, real):
+        def probe(*args):
+            counts[kind] += 1
+            return real(*args)
+
+        return probe
+
+    monkeypatch.setattr(oracle, "find_clique", counted("clique", oracle.find_clique))
+    monkeypatch.setattr(
+        oracle, "find_crossing_independent",
+        counted("cover", oracle.find_crossing_independent),
+    )
+    seen = {}
+    for run in (oracle_f, oracle_delta):
+        for plain in (True, False):
+            counts.update(clique=0, cover=0)
+            assert run(2, 5, 3, symmetry_reduction=not plain).value == 4
+            seen[run.__name__, plain] = (counts["clique"], counts["cover"])
+    assert seen == {
+        ("oracle_f", True): (74140, 0),
+        ("oracle_f", False): (867, 0),
+        ("oracle_delta", True): (0, 200580),
+        ("oracle_delta", False): (0, 2178),
+    }
+
