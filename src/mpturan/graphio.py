@@ -20,7 +20,6 @@ import os
 import stat
 from array import array
 from pathlib import Path
-from typing import Iterator
 
 from .errors import GraphStructureError
 from .graphs import MultipartiteGraph, bit_indices, from_edges
@@ -114,44 +113,59 @@ def read_graph(path: str | Path) -> MultipartiteGraph:
 
 
 def to_dimacs(g: MultipartiteGraph) -> str:
+    """DIMACS text with one ``e u v`` line per edge, u < v, 1-based.
+
+    Vertex names come from one table, and a row whose higher neighbors are
+    those of the row before it (as with twins) reuses that row's name list.
+    """
+    n = g.n_vertices
+    names = [str(v + 1) for v in range(n)]
     chunks = [
         "c part-sizes " + " ".join(map(str, g.part_sizes)) + "\n",
-        f"p edge {g.n_vertices} {g.edge_count()}\n",
+        f"p edge {n} {g.edge_count()}\n",
     ]
+    previous, ids = 0, []
     for u, row in enumerate(g.rows):
         higher = row >> (u + 1)
         if higher:
+            # the same vertices as the previous row's list when the
+            # previous row's higher mask is this one shifted up by one
+            if higher << 1 != previous:
+                ids = list(map(names.__getitem__, bit_indices(higher, u + 1)))
             head = f"e {u + 1} "
-            ids = map(str, bit_indices(higher, u + 2))
             chunks.append(head + ("\n" + head).join(ids) + "\n")
+        previous = higher
     return "".join(chunks)
 
 
-def _blocks(text: str, size: int = 1 << 16) -> Iterator[str]:
-    """Consecutive pieces of ``text`` of about ``size`` characters, each
-    ending at a newline (or at the end), so that no piece splits a line
-    and a large file never becomes one list of millions of lines."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + size)
-        end = len(text) if end < 0 else end + 1
-        yield text[start:end]
-        start = end
+_BLOCK = 1 << 16
+"""Characters the per-line parser takes at most before a block ends at the
+next newline, so that a large file never becomes one list of millions of
+lines."""
 
 
 def _malformed(lineno: int, what: str, raw: str) -> GraphStructureError:
     return GraphStructureError(f"line {lineno}: malformed {what}: {raw.strip()[:60]!r}")
 
 
-def from_dimacs(text: str) -> MultipartiteGraph:
-    part_sizes: list[int] | None = None
-    declared: tuple[int, int] | None = None
-    # 0-based endpoints; unsigned, so a vertex id below 1 cannot be stored
-    us = array("I")
-    vs = array("I")
-    add_u, add_v = us.append, vs.append
-    lineno = 0
-    for block in _blocks(text):
+class _LineParser:
+    """The general DIMACS path: every line, parsed on its own.
+
+    Edge endpoints are kept 0-based in two unsigned arrays, so a vertex id
+    below 1 cannot be stored. ``lineno`` counts every line read so far,
+    including those the caller skipped without parsing.
+    """
+
+    def __init__(self) -> None:
+        self.part_sizes: list[int] | None = None
+        self.declared: tuple[int, int] | None = None
+        self.us = array("I")
+        self.vs = array("I")
+        self.lineno = 0
+
+    def parse(self, block: str) -> None:
+        add_u, add_v = self.us.append, self.vs.append
+        lineno = self.lineno
         for raw in block.splitlines():
             lineno += 1
             fields = raw.split()
@@ -168,30 +182,91 @@ def from_dimacs(text: str) -> MultipartiteGraph:
             elif tag == "c":
                 if len(fields) >= 2 and fields[1] == "part-sizes":
                     try:
-                        part_sizes = [int(x) for x in fields[2:]]
+                        self.part_sizes = [int(x) for x in fields[2:]]
                     except ValueError:
                         raise _malformed(lineno, "part-sizes comment", raw) from None
             elif tag == "p":
                 if len(fields) != 4 or fields[1] != "edge":
                     raise _malformed(lineno, "problem line", raw)
                 try:
-                    declared = (int(fields[2]), int(fields[3]))
+                    self.declared = (int(fields[2]), int(fields[3]))
                 except ValueError:
                     raise _malformed(lineno, "problem line", raw) from None
             else:
                 raise GraphStructureError(f"line {lineno}: unknown record {tag[:20]!r}")
-    if part_sizes is None:
+        self.lineno = lineno
+
+
+def from_dimacs(text: str) -> MultipartiteGraph:
+    """Read DIMACS edge format with a ``c part-sizes`` comment.
+
+    Every line goes through one per-line parser, with one shortcut for the
+    runs of twins that ``to_dimacs`` writes. The text is read in blocks
+    that end where the writer would start the next vertex's run. A block
+    that is exactly one run, ``e h v`` lines all under one head h, becomes
+    a template. Where the text then continues with that run's text under
+    the head h + 1, those lines are counted but not parsed: they are the
+    template's edges with the new head, and ``from_edges`` receives them
+    as one group.
+    """
+    lines = _LineParser()
+    groups: list[tuple[list[int], array]] = []
+    skipped = 0  # edges in the lines taken by the shortcut
+    pos, end_of_text = 0, len(text)
+    head = 0  # 1-based head of the last edge line or shortcut run
+    template: tuple[str, str, array] | None = None
+    while pos < end_of_text:
+        if template is not None:
+            run, old, neighbors = template
+            new = f"e {head + 1} "
+            # The first line rules out most runs that differ. The run has
+            # one edge per line and, not being the last block, ends with a
+            # newline; if every other line break is the newline before an
+            # ``old``, each line is ``old`` and one token, so the run under
+            # the new head reads as the same edges.
+            if text.startswith(
+                new + run[len(old):run.find("\n") + 1], pos
+            ) and run.count("\n" + old) == len(neighbors) - 1:
+                candidate = new + run[len(old):].replace("\n" + old, "\n" + new)
+                if text.startswith(candidate, pos):
+                    if groups and groups[-1][1] is neighbors:
+                        groups[-1][0].append(head)
+                    else:
+                        groups.append(([head], neighbors))
+                    pos += len(candidate)
+                    lines.lineno += len(neighbors)
+                    skipped += len(neighbors)
+                    head += 1
+                    continue
+        end = text.find(f"\ne {head + 2} ", pos, pos + _BLOCK)
+        if end < 0:
+            end = text.find("\n", pos + _BLOCK)
+        end = end_of_text if end < 0 else end + 1
+        block = text[pos:end]
+        first_edge, first_line = len(lines.us), lines.lineno
+        lines.parse(block)
+        pos, template = end, None
+        n_edges = len(lines.us) - first_edge
+        if n_edges:
+            head = lines.us[-1] + 1
+            old = f"e {head} "
+            if n_edges == lines.lineno - first_line and block.startswith(old):
+                template = (block, old, lines.vs[first_edge:])
+    if lines.part_sizes is None:
         raise GraphStructureError(
             "missing 'c part-sizes' comment; the partition cannot be recovered"
         )
-    if declared is not None:
-        if declared[0] != sum(part_sizes):
+    part_sizes = lines.part_sizes
+    if lines.declared is not None:
+        n_vertices, n_edges = lines.declared
+        if n_vertices != sum(part_sizes):
             raise GraphStructureError(
-                f"problem line declares {declared[0]} vertices, "
+                f"problem line declares {n_vertices} vertices, "
                 f"part sizes sum to {sum(part_sizes)}"
             )
-        if declared[1] != len(us):
+        found = len(lines.us) + skipped
+        if n_edges != found:
             raise GraphStructureError(
-                f"problem line declares {declared[1]} edges, found {len(us)}"
+                f"problem line declares {n_edges} edges, found {found}"
             )
-    return from_edges(part_sizes, zip(us, vs))
+    return from_edges(part_sizes, zip(lines.us, lines.vs), groups)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphStructureError
 
@@ -290,15 +290,23 @@ def complete_multipartite(part_sizes: Iterable[int]) -> MultipartiteGraph:
 
 
 def from_edges(
-    part_sizes: Iterable[int], edges: Iterable[tuple[int, int]]
+    part_sizes: Iterable[int],
+    edges: Iterable[tuple[int, int]],
+    groups: Iterable[tuple[Sequence[int], Sequence[int]]] = (),
 ) -> MultipartiteGraph:
     """Graph on the given parts with the given (u, v) edges, 0-based.
+
+    Each ``(vertices, neighbors)`` pair in ``groups`` adds an edge from
+    every one of ``vertices`` to every one of ``neighbors``, which is how
+    a reader hands over runs of twins without listing each edge.
 
     Repeated edges are harmless. An endpoint outside the vertex range, a
     self-loop, or a pair inside one part raises ``GraphStructureError``, as
     does a vertex count above ``MAX_VERTICES``. Bits are set in one
-    bytearray per vertex; loops and intra-part pairs are then found on the
-    finished rows with one mask test per vertex.
+    bytearray per vertex, and each group then costs one OR per vertex and
+    one per neighbor, after all of its ids are range-checked; loops and
+    intra-part pairs are found on the finished rows with one mask test per
+    vertex.
     """
     sizes = _normalized_part_sizes(part_sizes)
     n = sum(sizes)
@@ -321,9 +329,25 @@ def from_edges(
             raise
         bad = v if 0 <= u < n else u
         raise GraphStructureError(f"vertex id {bad} out of range [0, {n})") from None
-    g = MultipartiteGraph(
-        sizes, [int.from_bytes(b, "little") for b in bufs], validate=False
-    )
+    rows = [int.from_bytes(b, "little") for b in bufs]
+    for vertices, neighbors in groups:
+        masks = []
+        for ids in (vertices, neighbors):
+            if ids:
+                low, high = min(ids), max(ids)
+                if low < 0 or high >= n:
+                    bad = low if low < 0 else high
+                    raise GraphStructureError(f"vertex id {bad} out of range [0, {n})")
+            buf = bytearray(width)
+            for w in ids:
+                buf[w >> 3] |= bit[w & 7]
+            masks.append(int.from_bytes(buf, "little"))
+        to_vertices, to_neighbors = masks
+        for w in vertices:
+            rows[w] |= to_neighbors
+        for w in neighbors:
+            rows[w] |= to_vertices
+    g = MultipartiteGraph(sizes, rows, validate=False)
     for v, row in enumerate(g.rows):
         inside = row & g.part_masks[g.part_of[v]]
         if inside:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mpturan.cli import main
+from mpturan.constructions import sliced_blowup
 
 
 def run(capsys, *argv):
@@ -126,6 +127,25 @@ def test_construct_verify_round_trip(tmp_path, capsys):
     doc = json.loads(out)
     assert all(p["verdict"] for p in doc["properties"])
     assert_integers_only(doc)
+
+
+def test_construct_verify_at_full_size(tmp_path, capsys):
+    # the 2600-vertex DIMACS traffic of the benchmark's certify workload
+    path = tmp_path / "sliced.dimacs"
+    code, _, err = run(
+        capsys,
+        "construct", "--method", "sliced", "--n", "200", "--r", "13", "--t", "3",
+        "--format", "dimacs", "--out", str(path),
+    )
+    assert code == 0, err
+    doc = run_json(
+        capsys,
+        "verify", "--in", str(path),
+        "--claim", "kfree=4", "--claim", "min_degree=1660", "--claim", "colorable=3",
+        "--format", "json",
+    )
+    assert [p["verdict"] for p in doc["properties"]] == [True] * 3
+    assert doc["graph_digest"] == sliced_blowup(200, 13, 3).graph.digest()
 
 
 def test_verify_false_claim_exit_code(tmp_path, capsys):

@@ -1,15 +1,115 @@
 import json
 import os
+import tracemalloc
 
 import pytest
 from graph_strategies import multipartite_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpturan.constructions import sliced_blowup, turan_blowup
+from mpturan import graphio
+from mpturan.cli import main
+from mpturan.constructions import apex_blowup, sliced_blowup, turan_blowup
 from mpturan.errors import GraphStructureError
-from mpturan.graphio import dumps_graph, from_dimacs, loads_graph, to_dimacs, write_text
-from mpturan.graphs import MAX_VERTICES
+from mpturan.graphio import (
+    dumps_graph,
+    from_dimacs,
+    graph_from_json_dict,
+    loads_graph,
+    to_dimacs,
+    write_text,
+)
+from mpturan.graphs import MAX_VERTICES, complete_multipartite, from_edges
+
+
+def reference_dimacs(g):
+    """The writer's specification: one line per edge, each formatted alone."""
+    lines = [
+        "c part-sizes " + " ".join(str(s) for s in g.part_sizes),
+        f"p edge {g.n_vertices} {g.edge_count()}",
+    ]
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse(text):
+    """The reader's specification: every line parsed on its own.
+
+    A malformed line raises ``GraphStructureError`` naming its number; ids
+    must fit the reader's unsigned 32-bit endpoint arrays.
+    """
+    part_sizes, declared, edges = None, None, []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        fields = raw.split()
+        try:
+            if not fields or fields[0] == "c" and fields[1:2] != ["part-sizes"]:
+                continue
+            if fields[0] == "e":
+                _, u, v = fields
+                u, v = int(u) - 1, int(v) - 1
+                if not (0 <= u < 2**32 and 0 <= v < 2**32):
+                    raise ValueError
+                edges.append((u, v))
+            elif fields[0] == "c":
+                part_sizes = [int(x) for x in fields[2:]]
+            elif fields[0] == "p" and len(fields) == 4 and fields[1] == "edge":
+                declared = (int(fields[2]), int(fields[3]))
+            else:
+                raise ValueError
+        except ValueError:
+            raise GraphStructureError(f"line {lineno}: malformed") from None
+    if part_sizes is None:
+        raise GraphStructureError("missing part sizes")
+    if declared is not None and declared != (sum(part_sizes), len(edges)):
+        raise GraphStructureError("problem line disagrees")
+    return from_edges(part_sizes, edges)
+
+
+def read_outcome(read, text):
+    """The graph ``read`` gives, or the line number its error names (None
+    for an error that names no line)."""
+    try:
+        return read(text)
+    except GraphStructureError as exc:
+        message = str(exc)
+        return int(message.split(":")[0][5:]) if message.startswith("line ") else None
+
+
+def reorder_edge_lines(text, reorder):
+    """``text`` with its edge lines, as a list, replaced by ``reorder(list)``."""
+    lines = text.splitlines(keepends=True)
+    header = [line for line in lines if not line.startswith("e ")]
+    edges = [line for line in lines if line.startswith("e ")]
+    return "".join(header + reorder(edges))
+
+
+def interleave(lines, step=97):
+    """Every ``step``-th line from each offset, so that no two neighbors of
+    the result were neighbors before; a cheap stand-in for a shuffle of
+    millions of lines."""
+    return [line for i in range(step) for line in lines[i::step]]
+
+
+# (method, n, r, t): the DIMACS graphs of the benchmark's certify workload
+CERTIFY_GRAPHS = [
+    ("sliced", 60, 10, 3),
+    ("turan", 60, 10, 3),
+    ("apex", 40, 14, 6),
+    ("composition", 60, 5, 3),
+    ("sliced", 200, 13, 3),
+]
+
+
+def constructed_graph(tmp_path, method, n, r, t):
+    """The graph ``construct --method method`` builds."""
+    builders = {"sliced": sliced_blowup, "turan": turan_blowup, "apex": apex_blowup}
+    if method in builders:
+        return builders[method](n, r, t).graph
+    path = tmp_path / "graph.json"
+    argv = ["construct", "--method", method, "--n", str(n), "--r", str(r),
+            "--t", str(t), "--format", "json", "--out", str(path)]
+    assert main(argv) == 0
+    return graph_from_json_dict(json.loads(path.read_text())["graph"])
 
 
 def test_json_round_trip_preserves_graph():
@@ -105,6 +205,24 @@ def test_round_trip_both_formats(g):
     assert via_dimacs.digest() == via_json.digest() == g.digest()
 
 
+def twin_text(edits=(), newline="\n"):
+    """DIMACS text in which vertices 1 to 4 are twins joined to 5, 6 and 7.
+
+    Lines 3-5 hold vertex 1's run, 6-8 vertex 2's, 9-11 vertex 3's and
+    12-14 vertex 4's, so a reader that matches repeated runs can take
+    vertices 3 and 4 without parsing them. Each (lineno, text) in
+    ``edits`` replaces that line; the ``p edge`` line counts the edge
+    lines after the edits.
+    """
+    lines = [f"e {u} {v}" for u in (1, 2, 3, 4) for v in (5, 6, 7)]
+    lines = ["c part-sizes 4 4", None] + lines
+    for lineno, text in edits:
+        lines[lineno - 1] = text
+    body = "\n".join(lines[2:]).splitlines()
+    lines[1] = f"p edge 8 {sum(line.split()[:1] == ['e'] for line in body)}"
+    return newline.join(lines) + newline
+
+
 @pytest.mark.parametrize(
     "text, where",
     [
@@ -117,6 +235,14 @@ def test_round_trip_both_formats(g):
         ("c part-sizes 1 1\nx 1 2\n", "line 2"),
         # past the first 64 KiB block of the reader
         ("c part-sizes 1 1\n" + "e 1 2\n" * 20000 + "e 0 1\n", "line 20002"),
+        # runs of twins, which the reader may take without parsing them
+        (twin_text([(13, "e 4 6 x")]), "line 13"),
+        (twin_text([(10, "e 3 8"), (11, "e 3 z")]), "line 11"),
+        (twin_text([(11, "e 3 7\ne 3 8\ne 3 8 8")]), "line 13"),
+        (twin_text([(13, "e 4 6 x")], newline="\r\n"), "line 13"),
+        (twin_text([(9, "e 3 5\x0b"), (13, "e 4 6 x")]), "line 14"),
+        (twin_text([(10, "e 3 6\x85"), (13, "e 4 6 x")]), "line 14"),
+        (twin_text([(7, "e 2 6\n"), (10, "e 3 6\n"), (13, "e 4 6 x")]), "line 15"),
     ],
 )
 def test_from_dimacs_names_the_bad_line(text, where):
@@ -217,3 +343,150 @@ def test_write_text_replaces_longer_contents(tmp_path):
 
 def test_write_text_to_a_device():
     write_text(os.devnull, "discarded\n")
+
+
+def _short_head_text():
+    """Vertices 1 to 12 are twins joined to 13 and 14, with a stray
+    ``e 1 13`` before vertex 10's run and vertex 11 also joined to 3.
+    Read with the prefix ``e 10 `` cut off, the stray line would turn
+    ``e 11 3``, which joins two vertices of part 0, into ``e 11 13``."""
+    runs = [f"e {u} 13\ne {u} 14" for u in range(1, 13)]
+    runs[9] = "e 1 13\n" + runs[9]
+    runs[10] = "e 11 3\n" + runs[10]
+    return "c part-sizes 12 3\n" + "\n".join(runs) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        twin_text(),
+        twin_text(newline="\r\n"),
+        # repeats the previous run's first line, then diverges
+        twin_text([(10, "e 3 8"), (11, "e 3 6")]),
+        # longer than the previous run, the extra line under the same head
+        twin_text([(11, "e 3 7\ne 3 8")]),
+        # shorter than the previous run
+        twin_text([(14, "")]),
+        twin_text([(9, "e 3 5\x0b"), (12, "e 4 5\x85")]),
+        twin_text([(10, "c note\ne 3 6")]),
+        # spacing other than the writer's, in a template run and a twin run
+        twin_text([(7, "e 2  6")]),
+        twin_text([(6, "e\t2 5")]),
+        twin_text([(13, "e 4\t6")], newline="\r\n"),
+        twin_text([(13, "e 04 6")]),
+        # the same line in both runs, not under the run's head
+        twin_text([(7, "e\t2 6"), (10, "e\t2 6")]),
+        # a run whose first line is under another head
+        twin_text([(6, "e 1 5"), (9, "e 2 5")]),
+        _short_head_text(),
+        # a run that repeats the previous one under a head that is not next
+        twin_text([(9, "e 1 5"), (10, "e 1 6"), (11, "e 1 7")]),
+    ],
+)
+def test_twin_runs_read_like_the_reference(text):
+    assert read_outcome(from_dimacs, text) == read_outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("construction", CERTIFY_GRAPHS, ids=lambda c: "{}{}".format(*c[:1], c[1:]))
+def test_dimacs_matches_the_references_on_constructions(tmp_path, construction):
+    g = constructed_graph(tmp_path, *construction)
+    text = to_dimacs(g)
+    assert text == reference_dimacs(g)
+    # the reordered copy has the same lines, so one reference reading serves both
+    reordered = reorder_edge_lines(text, interleave)
+    expected = reference_parse(reordered)
+    assert expected == g
+    assert from_dimacs(text) == expected
+    assert from_dimacs(reordered) == expected
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # each vertex's higher neighbors are the previous vertex's, minus
+        # the vertex itself
+        complete_multipartite([1, 1, 1, 1]),
+        complete_multipartite([2, 1, 2]),
+        from_edges([1, 2, 1], [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]),
+    ],
+)
+def test_to_dimacs_matches_the_reference_writer(g):
+    text = to_dimacs(g)
+    assert text == reference_dimacs(g)
+    assert from_dimacs(text) == g
+
+
+@settings(max_examples=80, deadline=None)
+@given(multipartite_graphs(), st.randoms(use_true_random=False))
+def test_dimacs_matches_the_references(g, rng):
+    text = to_dimacs(g)
+    assert text == reference_dimacs(g)
+    assert from_dimacs(text) == reference_parse(text) == g
+    shuffled = reorder_edge_lines(text, lambda lines: rng.sample(lines, len(lines)))
+    assert from_dimacs(shuffled) == reference_parse(shuffled)
+
+
+_LINE_EDITS = st.sampled_from(
+    [
+        lambda line: "",
+        lambda line: line + "\r",
+        lambda line: line + "\x0b",
+        lambda line: line + "\x85",
+        lambda line: line + "\n" + line,
+        lambda line: "c " + line,
+        lambda line: line + " 1",
+        lambda line: line.replace(" ", "  ", 1),
+        lambda line: line[:-1] + "x",
+        lambda line: line[:-1] + "0",
+        lambda line: line + "\ne 1 2",
+        lambda line: line.replace(" ", "\t", 1),
+        lambda line: "e 1" + line[line.find(" ", 2):],
+    ]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multipartite_graphs(), st.lists(st.tuples(st.integers(0, 10**6), _LINE_EDITS), max_size=4))
+def test_edited_dimacs_reads_like_the_reference(g, edits):
+    lines = to_dimacs(g).splitlines()
+    for i, edit in edits:
+        lines[i % len(lines)] = edit(lines[i % len(lines)])
+    text = "\n".join(lines) + "\n"
+    assert read_outcome(from_dimacs, text) == read_outcome(reference_parse, text)
+
+
+def test_from_dimacs_parses_repeated_runs_once(monkeypatch):
+    g = sliced_blowup(60, 10, 3).graph
+    text = to_dimacs(g)
+    parsed = []
+    parse = graphio._LineParser.parse
+
+    def counting_parse(self, block):
+        parsed.append(len(block.splitlines()))
+        return parse(self, block)
+
+    monkeypatch.setattr(graphio._LineParser, "parse", counting_parse)
+    assert from_dimacs(text) == g
+    assert sum(parsed) < len(text.splitlines()) // 10
+
+
+def test_from_dimacs_checks_repeated_run_ids_before_allocating():
+    # vertex 2's run becomes a template, and every later run repeats it
+    # under the next head, up to ids far past the two vertices declared
+    text = "c part-sizes 1 1\n" + "".join(f"e {k} 1\n" for k in range(1, MAX_VERTICES + 10))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphStructureError, match="out of range"):
+            from_dimacs(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(text)
+
+
+def test_from_dimacs_counts_skipped_runs_against_the_problem_line():
+    g = sliced_blowup(60, 10, 3).graph
+    edges = g.edge_count()
+    text = to_dimacs(g).replace(f"p edge 600 {edges}\n", f"p edge 600 {edges + 1}\n")
+    with pytest.raises(GraphStructureError, match=f"declares {edges + 1} edges, found {edges}"):
+        from_dimacs(text)

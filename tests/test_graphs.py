@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,38 @@ def test_self_loop_rejected():
 def test_vertex_out_of_range_rejected():
     with pytest.raises(GraphStructureError):
         from_edges([1, 1], [(0, 5)])
+
+
+def test_from_edges_groups_join_every_pair():
+    # vertices 0 and 1 (part 0) each joined to 2, 3 and 4, plus one edge
+    g = from_edges([2, 2, 2], [(2, 4)], [([0, 1], [2, 3, 4])])
+    assert g == from_edges(
+        [2, 2, 2], [(2, 4)] + [(u, v) for u in (0, 1) for v in (2, 3, 4)]
+    )
+    assert from_edges([2, 2], [], [([0], []), ([], [2])]) == empty_graph([2, 2])
+
+
+@pytest.mark.parametrize(
+    "groups, match",
+    [
+        ([([0], [5])], "vertex id 5 out of range"),
+        ([([5], [0])], "vertex id 5 out of range"),
+        ([([0], [-1])], "vertex id -1 out of range"),
+        ([([10**9], [2])], "out of range"),
+        ([([2], [10**9])], "out of range"),
+        ([([0, 2], [1])], "both in part"),
+        ([([2], [2])], "self-loop at vertex 2"),
+    ],
+)
+def test_from_edges_checks_groups(groups, match):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphStructureError, match=match):
+            from_edges([2, 2], [], groups)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_asymmetric_rows_rejected():
