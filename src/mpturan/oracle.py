@@ -19,7 +19,20 @@ correctness bound, and callers may raise it explicitly. By default they
 skip every assignment that adjacent part and vertex swaps prove is not
 the lexicographically greatest of its orbit (a partial lex-leader check
 after Crawford, Ginsberg, Luks and Roy, KR 1996); every orbit keeps its
-leader, so the values are those of the unpruned search.
+leader, so the values are those of the unpruned search. Each node
+resumes every generator's comparison where its parent left it.
+
+A node pays only for the pair its last decision flipped. The probe for
+a feasible completion (mode f: a clique in the graph of all pairs not
+excluded; mode delta: a crossing independent set among the included
+pairs) hands the set it found to the node's children, and a child
+probes again only when the flipped pair has both ends in that set. Mode
+delta's dead-end check asks whether the pairs not excluded leave a
+crossing independent set; those sets are exactly the cliques of the
+excluded pairs, and the parent had none, so after an exclude only
+cliques through both ends of the excluded pair are searched. The entry
+node probes in full. The search tree, every value and every witness are
+those of the full probes.
 """
 
 from __future__ import annotations
@@ -134,24 +147,30 @@ def _position_perms(
     return tuple(gens)
 
 
-def _lex_pruned(a: list[int], gens: tuple[tuple[int, ...], ...]) -> bool:
-    """Prune when the decided prefix proves the assignment is not the
-    lexicographically greatest member of its orbit.
+def _lex_scan(
+    scans: list[tuple[tuple[int, ...], int]], a: list[int]
+) -> list[tuple[tuple[int, ...], int]] | None:
+    """Resume the partial lex-leader check on the decided prefix ``a``.
 
-    For each generator the comparison walks positions in order and stops
-    at the first undecided image, so it only ever prunes on proof.
+    ``scans`` pairs each generator still in play with the first position
+    at which a shorter prefix of ``a`` left its comparison unsettled; the
+    positions before it compare equal for good, so the walk resumes
+    there. It stops at the first undecided image, so it only ever prunes
+    on proof. Returns None when some generator maps ``a`` to a greater
+    assignment (prune), else the scans still open: a generator under
+    which ``a`` is already greater can never prune below and is dropped.
     """
     d = len(a)
-    for pi in gens:
-        for p in range(d):
-            q = pi[p]
-            if q >= d:
-                break
-            if a[p] != a[q]:
-                if a[p] < a[q]:
-                    return True
-                break
-    return False
+    still_open = []
+    for pi, p in scans:
+        while p < d and pi[p] < d and a[p] == a[pi[p]]:
+            p += 1
+        if p < d and pi[p] < d:
+            if a[p] < a[pi[p]]:
+                return None
+        else:
+            still_open.append((pi, p))
+    return still_open
 
 
 def _decide(
@@ -175,13 +194,22 @@ def _decide(
     """
     npairs = len(pairs)
     template = complete_multipartite((n,) * r)
-    # rows: the included pairs; comp: every pair not yet excluded, i.e.
-    # the graph that includes all undecided pairs. An include changes
-    # only rows and an exclude only comp.
+    # rows: the included pairs; excl: the excluded pairs; comp: every
+    # cross pair not excluded, i.e. the graph that includes all undecided
+    # pairs. An include changes only rows, an exclude only excl and comp.
     rows = [0] * template.n_vertices
+    excl = [0] * template.n_vertices
     comp = list(template.rows)
     wrap = template.with_rows
     a: list[int] = []
+    # the success probe's graph, which is feasible when the probe finds
+    # nothing, and the decision value that changes it
+    feasible, changed_by = (comp, 0) if mode == MODE_F else (rows, 1)
+
+    def probe() -> tuple[int, ...] | None:
+        if mode == MODE_F:
+            return find_clique(wrap(comp), size)
+        return find_crossing_independent(wrap(rows), size)
 
     def include_ok(k: int) -> bool:
         u, v = pairs[k]
@@ -198,42 +226,62 @@ def _decide(
 
     def flip(k: int, val: int) -> None:
         u, v = pairs[k]
-        side = rows if val else comp
-        side[u] ^= 1 << v
-        side[v] ^= 1 << u
+        bu, bv = 1 << u, 1 << v
+        if val:
+            rows[u] ^= bv
+            rows[v] ^= bu
+        else:
+            excl[u] ^= bv
+            excl[v] ^= bu
+            comp[u] ^= bv
+            comp[v] ^= bu
 
-    def rec(k: int, last: int | None) -> list[int] | None:
+    def rec(
+        k: int,
+        last: int | None,
+        wit: tuple[int, ...] | None,
+        scans: list[tuple[tuple[int, ...], int]],
+    ) -> list[int] | None:
         """Search below the node with ``k`` pairs decided, the last of
-        them to ``last`` (None at the entry node).
+        them to ``last``; ``last`` and ``wit`` are None at the entry node.
 
-        A probe whose graph the last decision left unchanged would repeat
-        the parent's probe, which did not end the search, so it is
-        skipped: in mode f the completion is comp, which an include keeps;
-        in mode delta the success graph is rows, which an exclude keeps,
-        and the dead-end graph is comp.
+        ``wit`` is the set that the nearest probe above found in its
+        graph: a clique of comp in mode f, a crossing independent set of
+        rows in mode delta. It stays one unless the last decision changed
+        that graph at a pair with both ends in the set, and while it stays
+        one the probe is skipped, since it could only find a set again.
         """
-        if gens and _lex_pruned(a, gens):
+        scans = _lex_scan(scans, a)
+        if scans is None:
             return None
-        if mode == MODE_F:
-            # include everything still open: degrees land on comp, which
-            # the exclude guard keeps at or above the target
-            if last != 1 and find_clique(wrap(comp), size) is None:
-                return comp[:]
-        elif last != 0 and find_crossing_independent(wrap(rows), size) is None:
-            # excluding everything still open keeps the graph as it stands
-            return rows[:]
+        if wit is None or (
+            last == changed_by and pairs[k - 1][0] in wit and pairs[k - 1][1] in wit
+        ):
+            wit = probe()
+            if wit is None:
+                # mode f: include everything still open, which lands the
+                # degrees on comp, kept at or above the target by the
+                # exclude guard; mode delta: exclude it, keeping rows
+                return feasible[:]
         if k == npairs:
             return None
         if mode == MODE_DELTA and last != 1:
-            # even including every remaining pair leaves an independent
-            # crossing set, and more edges only help, so give up here
-            if find_crossing_independent(wrap(comp), size) is not None:
+            # a crossing independent set of comp stays one in every
+            # completion, each a subgraph of comp, so give up here. Those
+            # sets are the cliques of excl, and the parent's comp had
+            # none, so after an exclude a new one holds both ends.
+            if last is None:
+                dead = find_crossing_independent(wrap(comp), size) is not None
+            else:
+                u, v = pairs[k - 1]
+                dead = _mask_has_clique(excl, excl[u] & excl[v], size - 2)
+            if dead:
                 return None
         for val, ok in ((1, include_ok), (0, exclude_ok)):
             if ok(k):
                 flip(k, val)
                 a.append(val)
-                found = rec(k + 1, val)
+                found = rec(k + 1, val, wit, scans)
                 a.pop()
                 flip(k, val)
                 if found is not None:
@@ -245,7 +293,7 @@ def _decide(
             return None
         flip(k, val)
         a.append(val)
-    return rec(len(prefix), None)
+    return rec(len(prefix), None, None, [(pi, 0) for pi in gens])
 
 
 def _search(

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from mpturan.cli import main
+from mpturan import cli
+from mpturan.cli import MAX_TABLE_ROWS, main
 from mpturan.constructions import sliced_blowup
 
 
@@ -361,3 +362,61 @@ def test_bad_arguments_exit_code(capsys, monkeypatch, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+_TABLE = ["table", "--n", "3", "--t", "3"]
+_ORACLE_F = ["oracle", "--mode", "f", "--n", "2", "--t", "3"]
+# (argv, exit code): bad instances, malformed or oversized ranges, and
+# oracle instances over the vertex cap
+_EXIT_CODES = {
+    "bounds n 0": (["bounds", "--n", "0", "--r", "6", "--t", "3"], 2),
+    "bounds n -1": (["bounds", "--n", "-1", "--r", "6", "--t", "3"], 2),
+    "bounds t 1": (["bounds", "--n", "3", "--r", "6", "--t", "1"], 2),
+    "bounds r = t": (["bounds", "--n", "3", "--r", "3", "--t", "3"], 2),
+    "bounds r < t": (["bounds", "--n", "3", "--r", "2", "--t", "3"], 2),
+    "table n 0": (["table", "--n", "0", "--t", "3"], 2),
+    "table t 1": (["table", "--n", "3", "--t", "1"], 2),
+    "table t 0": (["table", "--n", "3", "--t", "0"], 2),
+    "table r = t": (_TABLE + ["--r", "3..5"], 2),
+    "table r < t": (_TABLE + ["--r", "2"], 2),
+    "table range without end": (_TABLE + ["--r", "5.."], 2),
+    "table range of dots": (_TABLE + ["--r", ".."], 2),
+    "table range empty string": (_TABLE + ["--r", ""], 2),
+    "table range not a number": (_TABLE + ["--r", "five"], 2),
+    "table range reversed": (_TABLE + ["--r", "9..5"], 2),
+    "table row limit": (_TABLE + ["--r", f"4..{MAX_TABLE_ROWS + 4}"], 2),
+    "table default range over the row limit": (["table", "--n", "3", "--t", "5000"], 2),
+    "oracle n 0": (["oracle", "--mode", "f", "--n", "0", "--r", "3", "--t", "2"], 2),
+    "oracle r 1": (["oracle", "--mode", "delta", "--n", "1", "--r", "1", "--t", "2"], 2),
+    "oracle t 0": (["oracle", "--mode", "audit", "--n", "1", "--r", "3", "--t", "0"], 2),
+    "oracle f over the cap": (_ORACLE_F + ["--r", "6"], 3),
+    "oracle delta over the cap": (
+        ["oracle", "--mode", "delta", "--n", "1", "--r", "11", "--t", "3"], 3
+    ),
+    "oracle audit over the cap": (
+        ["oracle", "--mode", "audit", "--n", "2", "--r", "6", "--t", "3"], 3
+    ),
+    "oracle f over a lowered cap": (_ORACLE_F + ["--r", "3", "--cap", "5"], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXIT_CODES))
+def test_bounds_table_oracle_exit_codes(capsys, case):
+    argv, expected = _EXIT_CODES[case]
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_table_at_the_row_limit(capsys):
+    code, out, _ = run(capsys, "table", "--n", "1", "--t", "2", "--r", f"3..{MAX_TABLE_ROWS + 2}")
+    assert code == 0
+    assert len(out.splitlines()) == MAX_TABLE_ROWS + 2
+
+
+def test_table_refuses_a_long_range_before_evaluating(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "best_known_bounds", lambda *_: pytest.fail("row evaluated"))
+    code, out, err = run(capsys, *_TABLE, "--r", f"4..{10**12}")
+    assert (code, out) == (2, "")
+    assert "limit" in err

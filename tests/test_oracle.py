@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpturan.bounds import exact_value_cases, transversal_clique_value, turan_sandwich
 from mpturan import oracle
@@ -176,10 +178,12 @@ def test_plain_search_reproduces_table_up_to_8_vertices():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_seeded_pruned_search_matches_table(seed):
-    # shuffled pair orders weaken the lex-leader pruning, which makes the
-    # 9- and 10-vertex instances take seconds each, so this stops at 8
+    # shuffled pair orders weaken the lex-leader pruning; under seed 1 the
+    # three 10-vertex instances (1,10,3), (1,10,4) and (2,5,3) take most
+    # of 8 s, so seed 1 stops at 9 vertices and seed 2 covers all 77
+    most = 9 if seed == 1 else DEFAULT_CAP
     for k in PLAIN:
-        if k[0] * k[1] <= 8:
+        if k[0] * k[1] <= most:
             assert audit_pair(*k, seed=seed) == PLAIN[k], (k, seed)
 
 
@@ -188,7 +192,9 @@ def test_probe_counts_are_pinned(monkeypatch):
 
     Counts depend only on the search, not the machine. Before probe
     skipping, the plain search made 131,679 clique probes for f and
-    401,153 cover probes for delta.
+    401,153 cover probes for delta. Before witness reuse, the anchored
+    cover check and the resumable lex scan, it made 74,140 (f) and
+    200,580 (delta), and the pruned search 867 and 2,178.
     """
     counts = {"clique": 0, "cover": 0}
 
@@ -211,9 +217,82 @@ def test_probe_counts_are_pinned(monkeypatch):
             assert run(2, 5, 3, symmetry_reduction=not plain).value == 4
             seen[run.__name__, plain] = (counts["clique"], counts["cover"])
     assert seen == {
-        ("oracle_f", True): (74140, 0),
-        ("oracle_f", False): (867, 0),
-        ("oracle_delta", True): (0, 200580),
-        ("oracle_delta", False): (0, 2178),
+        ("oracle_f", True): (34113, 0),
+        ("oracle_f", False): (467, 0),
+        ("oracle_delta", True): (0, 32336),
+        ("oracle_delta", False): (0, 26),
     }
 
+
+# Witness digests computed with the search as it stood before witness
+# reuse, the anchored cover check and the resumable lex scan: skipping
+# probes must not change which graph each search returns.
+WITNESS_DIGESTS = {
+    ("oracle_f", 2, 5, 3): "sha256:cba4602efacdd80e318c2319aa70f958de9cb7a9b7a1fe41e3678f3241648272",
+    ("oracle_delta", 2, 5, 3): "sha256:450719df20934991791b54694f4a9e187fa54827775860e1d0859a8860b4874a",
+    ("oracle_f", 1, 10, 4): "sha256:89fc1490bd81d6a9baf026cce95131c4e638b986dc2701dcfaff1bcb957ac255",
+    ("oracle_delta", 1, 10, 4): "sha256:43720a02f7d1f585551166cbda013adc99cae222009d2661ce8cd69c32d5c9c5",
+    ("oracle_f", 3, 3, 3): "sha256:c85bacf8fe4527e746199653fde07de382ce224a46f142926d2c4e3a80023c36",
+    ("oracle_delta", 3, 3, 3): "sha256:9ecb41ac8bc954ccfacb07b88bf07c5578e8009701bad35b4926ecdda8c62224",
+    ("oracle_f", 2, 4, 4): "sha256:f192df151685468bc1310c6036d303702912e6fe673786d39315e41b1fef09ca",
+    ("oracle_delta", 2, 4, 4): "sha256:b0b5c5f67b840cc4f50f7f0cac38406b53b1af596b961ff3c17e60290ff214e1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(WITNESS_DIGESTS), ids=lambda key: "-".join(map(str, key)))
+def test_witness_digests_are_pinned(key):
+    name, *instance = key
+    res = getattr(oracle, name)(*instance)
+    assert res.witness.digest() == WITNESS_DIGESTS[key]
+
+
+def _lex_pruned(a, gens):
+    """The whole-prefix partial lex-leader check that ``oracle._lex_scan``
+    resumes: every generator's comparison restarts at position 0."""
+    d = len(a)
+    for pi in gens:
+        for p in range(d):
+            q = pi[p]
+            if q >= d:
+                break
+            if a[p] != a[q]:
+                if a[p] < a[q]:
+                    return True
+                break
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 3), (1, 5), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]),
+    seed=st.sampled_from([None, 1, 2, 3]),
+    choices=st.lists(st.integers(0, 1), max_size=36),
+)
+def test_lex_scan_prunes_where_the_whole_prefix_check_does(shape, seed, choices):
+    # grow a prefix one decision at a time, as the search does: take the
+    # drawn value, or the other one where the drawn value is pruned
+    n, r = shape
+    pairs = oracle._cross_pairs(n, r, seed)
+    gens = oracle._position_perms(n, r, pairs)
+    fresh = [(pi, 0) for pi in gens]
+    a = []
+    scans = oracle._lex_scan(fresh, a)
+    assert scans is not None and not _lex_pruned(a, gens)
+    for first in choices[: len(pairs)]:
+        for val in (first, 1 - first):
+            a.append(val)
+            child = oracle._lex_scan(scans, a)
+            assert (child is None) == _lex_pruned(a, gens), a
+            assert (oracle._lex_scan(fresh, a) is None) == (child is None), a
+            if child is not None:
+                scans = child
+                break
+            a.pop()
+        else:
+            return
+
+
+def test_open_case_delta_2_7_4():
+    # the dual of f(2, 7, 3), which bounds place in [8, 9]; with
+    # oracle_f(2, 7, 4, cap=14) = 8 the duality audit certifies f = 8
+    assert oracle_delta(2, 7, 4, cap=14).value == 4
