@@ -38,6 +38,8 @@ def main() -> None:
     for n, r, t in ((4, 9, 2), (2, 6, 3), (1, 5, 3)):
         value = exact_value_cases(n, r, t)
         print(f"  f({n}, {r}, {t + 1}) = {value}")
+    print("and r = t + 1 (Haxell-Szabo; Szabo-Tardos), the transversal family:")
+    show(3, 5, 4)
     print()
 
     print("Every instance sits inside the sandwich (r - ceil(r/t))n <= f <= (r - r/t)n:")

@@ -29,9 +29,7 @@ from .bounds import (
     composition_bound,
     decompose,
     exact_value_cases,
-    improves_on_blowup,
     odd_t_gap,
-    residue_bounds,
     sliced_value,
     transfer_large_n,
     transfer_large_r,
@@ -66,8 +64,6 @@ from .graphio import (
 )
 from .graphs import (
     ColorPartition,
-    CrossingSet,
-    GraphBuilder,
     MultipartiteGraph,
     complete_multipartite,
     empty_graph,
@@ -94,9 +90,7 @@ from .verifier import (
     find_coloring,
     find_crossing_independent,
     max_clique,
-    max_clique_size,
     max_crossing_independent,
-    max_crossing_independent_size,
 )
 
 __version__ = "0.1.0"
@@ -108,10 +102,8 @@ __all__ = [
     "ColorPartition",
     "CONFIRMED",
     "ConstructionOutput",
-    "CrossingSet",
     "DEFAULT_CAP",
     "DomainError",
-    "GraphBuilder",
     "GraphStructureError",
     "InternalConsistencyError",
     "MODE_DELTA",
@@ -148,17 +140,13 @@ __all__ = [
     "from_edges",
     "graph_from_json_dict",
     "graph_to_json_dict",
-    "improves_on_blowup",
     "loads_graph",
     "max_clique",
-    "max_clique_size",
     "max_crossing_independent",
-    "max_crossing_independent_size",
     "odd_t_gap",
     "oracle_delta",
     "oracle_f",
     "read_graph",
-    "residue_bounds",
     "sliced_blowup",
     "sliced_value",
     "to_dimacs",

@@ -10,6 +10,10 @@ razor-edge condition checks compare rationals literally.
 
 The residue decomposition r = m*t - a with m = ceil(r/t) and
 0 <= a <= t - 1 organizes the case analysis and recurs in most signatures.
+Every bound family is one entry of ``_FAMILIES``: its guard on (t, m, a),
+its value formula and, for an upper bound on d only, the transfer
+condition under which it bounds f. ``best_known_bounds`` and the public
+value functions all read that table.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .errors import DomainError, NotApplicableError
 
@@ -28,14 +33,12 @@ __all__ = [
     "transversal_clique_value",
     "sliced_value",
     "apex_value",
-    "residue_bounds",
     "transfer_large_r",
     "transfer_large_n",
     "aes_threshold",
     "chromatic_upper",
     "composition_bound",
     "best_known_bounds",
-    "improves_on_blowup",
     "odd_t_gap",
     "Bound",
     "BoundReport",
@@ -66,33 +69,36 @@ def decompose(r: int, t: int) -> tuple[int, int]:
     return m, m * t - r
 
 
-def turan_sandwich(n: int, r: int, t: int) -> tuple[int, Fraction]:
-    """Unconditional envelope: (r - ceil(r/t)) * n <= f <= (r - r/t) * n.
-
-    The lower bound is attained by the n-fold blow-up of the balanced
-    t-partition of the parts; the upper bound is the classical edge-count
-    barrier and is returned as an exact rational.
-    """
-    _check_instance(n, r, t)
-    lower = (r - ceil_div(r, t)) * n
-    upper = Fraction((r * t - r) * n, t)
-    return lower, upper
+def _balanced(n: int, r: int, t: int, m: int, a: int) -> int:
+    """(r - ceil(r/t)) * n, the n-fold blow-up of the balanced t-partition."""
+    return (r - m) * n
 
 
-def exact_value_cases(n: int, r: int, t: int) -> int | None:
-    """The settled cases, or None when no closed form pins the value.
+def _edge_count(n: int, r: int, t: int, m: int, a: int) -> Fraction:
+    """(r - r/t) * n, the classical edge-count barrier."""
+    return Fraction((r * t - r) * n, t)
 
-    Settled: every instance with t = 2; divisible r (t | r); and
-    r = -1 (mod t) for t >= 3.
-    """
-    _check_instance(n, r, t)
-    if t == 2:
-        return (r // 2) * n
-    if r % t == 0:
-        return (r - r // t) * n
-    if r % t == t - 1:
-        return (r - ceil_div(r, t)) * n
-    return None
+
+def _sliced(n: int, r: int, t: int, m: int, a: int) -> int:
+    """(r - 1) * n less m - 1 slices of ceil((r - 1) * n / (m * t - 2))."""
+    return (r - 1) * n - (m - 1) * ceil_div((r - 1) * n, m * t - 2)
+
+
+def _apex_core(t: int, m: int, a: int) -> tuple[int, int]:
+    """Parts r' = m * (t' - 1) and colors t' = t - a + m of the apex core."""
+    t2 = t - a + m
+    return m * (t2 - 1), t2
+
+
+def _apex(n: int, r: int, t: int, m: int, a: int) -> int:
+    # the core (r', t') decomposes as (m, m), and each core vertex also
+    # sees all (r - r') * n apex vertices
+    r2, t2 = _apex_core(t, m, a)
+    return _sliced(n, r2, t2, m, m) + (r - r2) * n
+
+
+def _chromatic(n: int, r: int, t: int, m: int, a: int) -> int:
+    return (r - 1) * n - ceil_div((m - 1) * (r - 1) * n, m * t - 2)
 
 
 def transversal_clique_value(n: int, r: int) -> int:
@@ -110,40 +116,6 @@ def transversal_clique_value(n: int, r: int) -> int:
     return transversal_clique_value(n, r - 1) + n
 
 
-def sliced_value(n: int, r: int, t: int) -> int:
-    """Minimum degree achieved by the sliced blow-up, a certified lower bound.
-
-    Requires m * (t - 1) <= r <= m * t - 1 for m = ceil(r/t), equivalently
-    1 <= a <= m. The value is
-    (r - 1) * n - (m - 1) * ceil((r - 1) * n / (m * t - 2)).
-    """
-    _check_instance(n, r, t)
-    m, a = decompose(r, t)
-    if not 1 <= a <= m:
-        raise NotApplicableError(
-            f"sliced blow-up needs m*(t-1) <= r <= m*t - 1, got r={r}, t={t}"
-        )
-    return (r - 1) * n - (m - 1) * ceil_div((r - 1) * n, m * t - 2)
-
-
-def apex_value(n: int, r: int, t: int) -> int:
-    """Minimum degree achieved by the apex blow-up, a certified lower bound.
-
-    Covers the residues the sliced blow-up misses: 2 <= m < a < t. Writing
-    t' = t - a + m and r' = m * (t' - 1), the value is
-    (r - 1) * n - (m - 1) * ceil((r' - 1) * n / (m * t' - 2)).
-    """
-    _check_instance(n, r, t)
-    m, a = decompose(r, t)
-    if not 2 <= m < a < t:
-        raise NotApplicableError(
-            f"apex blow-up needs 2 <= m < a < t, got m={m}, a={a}, t={t}"
-        )
-    t2 = t - a + m
-    r2 = m * (t2 - 1)
-    return (r - 1) * n - (m - 1) * ceil_div((r2 - 1) * n, m * t2 - 2)
-
-
 def transfer_large_r(r: int, t: int, a: int) -> bool:
     """Many-parts condition under which the optimum is t-chromatic.
 
@@ -153,6 +125,19 @@ def transfer_large_r(r: int, t: int, a: int) -> bool:
     if t < 2 or a < 0 or a > t - 1:
         raise DomainError(f"need t >= 2 and 0 <= a <= t - 1, got t={t}, a={a}")
     return r >= a * (3 * t - 1)
+
+
+def _large_n_applies(m: int, a: int) -> bool:
+    return 2 <= a <= m
+
+
+def _large_n_holds(n: int, r: int, t: int, m: int, a: int) -> bool:
+    lhs = (
+        Fraction(r, t * (3 * t - 1) * (m - 1))
+        - Fraction(a, t * (m - 1))
+        + Fraction(a - 1, m * t - 2)
+    )
+    return lhs >= Fraction(1, n)
 
 
 def transfer_large_n(n: int, r: int, t: int) -> bool:
@@ -168,42 +153,128 @@ def transfer_large_n(n: int, r: int, t: int) -> bool:
     if n < 1:
         raise DomainError(f"part size n must be >= 1, got {n}")
     m, a = decompose(r, t)
-    if not 2 <= a <= min(m, t - 1):
+    if not _large_n_applies(m, a):
         raise NotApplicableError(
             f"large-parts transfer needs 2 <= a <= min(m, t-1), got m={m}, a={a}"
         )
-    lhs = (
-        Fraction(r, t * (3 * t - 1) * (m - 1))
-        - Fraction(a, t * (m - 1))
-        + Fraction(a - 1, m * t - 2)
+    return _large_n_holds(n, r, t, m, a)
+
+
+def _transfers(n: int, r: int, t: int, m: int, a: int) -> bool:
+    """Whether a transfer condition certifies f = d at this instance."""
+    return transfer_large_r(r, t, a) or (
+        _large_n_applies(m, a) and _large_n_holds(n, r, t, m, a)
     )
-    return lhs >= Fraction(1, n)
 
 
-def residue_bounds(n: int, r: int, t: int) -> tuple[int, int, bool]:
-    """Two-sided bounds for the residue case r = m*t - a, 2 <= a <= min(m, t-1).
+# -- the table of bound families -----------------------------------------
 
-    Returns (lower, upper, applicable) where
 
-        lower = (r-1)n - (m-1) * ceil((r-1)n / (mt-2))
-        upper = (r-1)n - ceil((m-1)(r-1)n / (mt-2))
+@dataclass(frozen=True)
+class _Family:
+    """One bound family.
 
-    and ``applicable`` records whether one of the chromatic-transfer
-    conditions certifies the upper bound for f at this n. The lower bound
-    is constructive and holds regardless.
+    ``role`` is "lower", "upper" or "exact" (both at once). ``guard`` takes
+    (t, m, a) and ``value`` and ``transfer`` take (n, r, t, m, a). A family
+    with a ``transfer`` bounds d(n, r, t) and counts for f only where the
+    transfer condition holds.
+    """
+
+    name: str
+    role: str
+    guard: Callable[[int, int, int], bool]
+    value: Callable[[int, int, int, int, int], int]
+    transfer: Callable[[int, int, int, int, int], bool] | None = None
+
+
+def _always(t: int, m: int, a: int) -> bool:
+    return True
+
+
+_FAMILIES: tuple[_Family, ...] = (
+    _Family("pair-split", "exact", lambda t, m, a: t == 2, _balanced),
+    _Family("divisible", "exact", lambda t, m, a: t > 2 and a == 0, _balanced),
+    _Family("near-divisible", "exact", lambda t, m, a: t > 2 and a == 1, _balanced),
+    _Family(  # r = t + 1 (Haxell-Szabo; Szabo-Tardos)
+        "transversal", "exact", lambda t, m, a: t > 2 and m == 2 and a == t - 1,
+        lambda n, r, t, m, a: transversal_clique_value(n, r),
+    ),
+    _Family("balanced-blowup", "lower", _always, _balanced),
+    _Family(
+        "edge-count", "upper", _always,
+        lambda n, r, t, m, a: math.floor(_edge_count(n, r, t, m, a)),
+    ),
+    _Family("sliced-blowup", "lower", lambda t, m, a: 1 <= a <= m, _sliced),
+    _Family("apex-blowup", "lower", lambda t, m, a: 2 <= m < a, _apex),
+    _Family("chromatic-transfer", "upper", lambda t, m, a: a >= 1, _chromatic, _transfers),
+)
+_BY_NAME = {family.name: family for family in _FAMILIES}
+
+
+def _evaluate(name: str, n: int, r: int, t: int, requirement: str) -> int:
+    _check_instance(n, r, t)
+    m, a = decompose(r, t)
+    family = _BY_NAME[name]
+    if not family.guard(t, m, a):
+        raise NotApplicableError(f"{requirement}, got r={r}, t={t} (m={m}, a={a})")
+    return family.value(n, r, t, m, a)
+
+
+def turan_sandwich(n: int, r: int, t: int) -> tuple[int, Fraction]:
+    """Unconditional envelope: (r - ceil(r/t)) * n <= f <= (r - r/t) * n.
+
+    The lower bound is attained by the n-fold blow-up of the balanced
+    t-partition of the parts; the upper bound is the classical edge-count
+    barrier and is returned as an exact rational.
     """
     _check_instance(n, r, t)
-    if t < 3:
-        raise DomainError(f"residue bounds need t >= 3, got t={t}")
     m, a = decompose(r, t)
-    if not 2 <= a <= min(m, t - 1):
-        raise NotApplicableError(
-            f"residue bounds need 2 <= a <= min(m, t-1), got m={m}, a={a}"
-        )
-    lower = sliced_value(n, r, t)
-    upper = (r - 1) * n - ceil_div((m - 1) * (r - 1) * n, m * t - 2)
-    applicable = transfer_large_r(r, t, a) or transfer_large_n(n, r, t)
-    return lower, upper, applicable
+    return _balanced(n, r, t, m, a), _edge_count(n, r, t, m, a)
+
+
+def exact_value_cases(n: int, r: int, t: int) -> int | None:
+    """The settled cases, or None when no closed form pins the value.
+
+    Settled: every instance with t = 2; divisible r (t | r); and
+    r = -1 (mod t) for t >= 3. All three take the balanced value.
+    """
+    _check_instance(n, r, t)
+    m, a = decompose(r, t)
+    return _balanced(n, r, t, m, a) if t == 2 or a <= 1 else None
+
+
+def sliced_value(n: int, r: int, t: int) -> int:
+    """Minimum degree achieved by the sliced blow-up, a certified lower bound.
+
+    Requires m * (t - 1) <= r <= m * t - 1 for m = ceil(r/t), equivalently
+    1 <= a <= m. The value is
+    (r - 1) * n - (m - 1) * ceil((r - 1) * n / (m * t - 2)).
+    """
+    return _evaluate(
+        "sliced-blowup", n, r, t, "sliced blow-up needs m*(t-1) <= r <= m*t - 1"
+    )
+
+
+def apex_value(n: int, r: int, t: int) -> int:
+    """Minimum degree achieved by the apex blow-up, a certified lower bound.
+
+    Covers the residues the sliced blow-up misses: 2 <= m < a < t. Writing
+    t' = t - a + m and r' = m * (t' - 1), the value is the sliced value at
+    (n, r', t') plus (r - r') * n.
+    """
+    return _evaluate("apex-blowup", n, r, t, "apex blow-up needs 2 <= m < a < t")
+
+
+def chromatic_upper(n: int, r: int, t: int) -> int:
+    """Upper bound on d(n, r, t), the t-chromatic relaxation of f.
+
+    Valid whenever t does not divide r; with m = ceil(r/t) the bound is
+    (r - 1) * n - ceil((m - 1) * (r - 1) * n / (m * t - 2)). It bounds f
+    itself only where a transfer condition certifies f = d.
+    """
+    return _evaluate(
+        "chromatic-transfer", n, r, t, "chromatic upper bound needs t to not divide r"
+    )
 
 
 def aes_threshold(t: int, total_vertices: int) -> Fraction:
@@ -218,22 +289,6 @@ def aes_threshold(t: int, total_vertices: int) -> Fraction:
     if total_vertices < 1:
         raise DomainError(f"need at least one vertex, got {total_vertices}")
     return Fraction((3 * t - 4) * total_vertices, 3 * t - 1)
-
-
-def chromatic_upper(n: int, r: int, t: int) -> int:
-    """Upper bound on d(n, r, t), the t-chromatic relaxation of f.
-
-    Valid whenever t does not divide r; with m = ceil(r/t) the bound is
-    (r - 1) * n - ceil((m - 1) * (r - 1) * n / (m * t - 2)). It bounds f
-    itself only where a transfer condition certifies f = d.
-    """
-    _check_instance(n, r, t)
-    m, a = decompose(r, t)
-    if a == 0:
-        raise NotApplicableError(
-            f"chromatic upper bound needs t to not divide r, got r={r}, t={t}"
-        )
-    return (r - 1) * n - ceil_div((m - 1) * (r - 1) * n, m * t - 2)
 
 
 def composition_bound(
@@ -260,21 +315,6 @@ def composition_bound(
     numer = (delta0 + (k - 1) * r0) * n
     denom = delta0 + k * r0 - 1
     return (r0 - 1) * math.ceil(numer / denom)
-
-
-def improves_on_blowup(n: int, r: int, t: int) -> bool:
-    """Whether the sliced blow-up strictly beats the balanced blow-up.
-
-    Guaranteed true once n >= (m*t - 2) / (a - 1); at small n the two can
-    coincide. Requires the residue range 2 <= a <= min(m, t - 1).
-    """
-    _check_instance(n, r, t)
-    m, a = decompose(r, t)
-    if not 2 <= a <= min(m, t - 1):
-        raise NotApplicableError(
-            f"comparison needs 2 <= a <= min(m, t-1), got m={m}, a={a}"
-        )
-    return sliced_value(n, r, t) > (r - ceil_div(r, t)) * n
 
 
 def odd_t_gap(n: int, t: int) -> bool:
@@ -364,7 +404,7 @@ _OPEN_CASE_NOTE = (
 
 
 def best_known_bounds(n: int, r: int, t: int) -> BoundReport:
-    """Aggregate every applicable bound on f(n, r, t) with provenance.
+    """Every family whose guard holds at (n, r, t), with provenance.
 
     Lower bounds are all constructive and unconditional. The chromatic
     upper bound is listed always but counts toward the envelope only when
@@ -374,34 +414,15 @@ def best_known_bounds(n: int, r: int, t: int) -> BoundReport:
     m, a = decompose(r, t)
     lowers: list[Bound] = []
     uppers: list[Bound] = []
-
-    exact_case = exact_value_cases(n, r, t)
-    if exact_case is not None:
-        if t == 2:
-            tag = "pair-split"
-        elif a == 0:
-            tag = "divisible"
-        else:
-            tag = "near-divisible"
-        lowers.append(Bound(exact_case, tag))
-        uppers.append(Bound(exact_case, tag))
-
-    sandwich_lower, sandwich_upper = turan_sandwich(n, r, t)
-    lowers.append(Bound(sandwich_lower, "balanced-blowup"))
-    uppers.append(Bound(math.floor(sandwich_upper), "edge-count"))
-
-    if 1 <= a <= min(m, t - 1):
-        lowers.append(Bound(sliced_value(n, r, t), "sliced-blowup"))
-    if 2 <= m < a < t:
-        lowers.append(Bound(apex_value(n, r, t), "apex-blowup"))
-
-    if a >= 1:
-        transfers = transfer_large_r(r, t, a)
-        if not transfers and t >= 3 and 2 <= a <= min(m, t - 1):
-            transfers = transfer_large_n(n, r, t)
-        uppers.append(
-            Bound(chromatic_upper(n, r, t), "chromatic-transfer", transfers)
-        )
+    for family in _FAMILIES:
+        if not family.guard(t, m, a):
+            continue
+        met = family.transfer is None or family.transfer(n, r, t, m, a)
+        bound = Bound(family.value(n, r, t, m, a), family.name, met)
+        if family.role != "upper":
+            lowers.append(bound)
+        if family.role != "lower":
+            uppers.append(bound)
 
     best_lower = max(b.value for b in lowers if b.conditions_met)
     best_upper = min(b.value for b in uppers if b.conditions_met)

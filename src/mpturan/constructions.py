@@ -28,17 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import (
+    _apex_core,
     apex_value,
     ceil_div,
     composition_bound,
     decompose,
     sliced_value,
 )
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    NotApplicableError,
-)
+from .errors import DomainError, InternalConsistencyError
 from .graphs import ColorPartition, MultipartiteGraph, complete_multipartite, empty_graph
 
 __all__ = [
@@ -137,16 +134,12 @@ def sliced_blowup(n: int, r: int, t: int) -> ConstructionOutput:
     (r - 1) * n - (m - 1) * l. At a = 1 the slices fill their parts and
     the balanced blow-up achieves the same value, so that case delegates.
     """
-    if n < 1:
-        raise DomainError(f"part size n must be >= 1, got {n}")
+    value = sliced_value(n, r, t)
     m, a = decompose(r, t)
-    if not 1 <= a <= m:
-        raise NotApplicableError(
-            f"sliced blow-up needs m*(t-1) <= r <= m*t - 1, got r={r}, t={t}"
-        )
     if a == 1:
         return turan_blowup(n, r, t)
-    slice_size = ceil_div((r - 1) * n, m * t - 2)
+    # the value is (r - 1) * n less m - 1 slices of l vertices
+    slice_size = ((r - 1) * n - value) // (m - 1)
     colors = [t - 1] * (r * n)
     for block in range(t - 1):
         for p in range(block * m, (block + 1) * m):
@@ -154,7 +147,7 @@ def sliced_blowup(n: int, r: int, t: int) -> ConstructionOutput:
             for v in range(start, start + slice_size):
                 colors[v] = block
     graph, coloring = _overlay_graph([n] * r, colors, t)
-    return _checked(graph, coloring, sliced_value(n, r, t), "sliced-blowup")
+    return _checked(graph, coloring, value, "sliced-blowup")
 
 
 def apex_blowup(n: int, r: int, t: int) -> ConstructionOutput:
@@ -166,22 +159,16 @@ def apex_blowup(n: int, r: int, t: int) -> ConstructionOutput:
     runs) and is complete to everything outside itself. The part count
     works out to exactly r and the chromatic number stays at most t.
     """
-    if n < 1:
-        raise DomainError(f"part size n must be >= 1, got {n}")
+    value = apex_value(n, r, t)
     m, a = decompose(r, t)
-    if not 2 <= m < a < t:
-        raise NotApplicableError(
-            f"apex blow-up needs 2 <= m < a < t, got m={m}, a={a}, t={t}"
-        )
-    t2 = t - a + m
-    r2 = m * (t2 - 1)
+    r2, t2 = _apex_core(t, m, a)
     core = sliced_blowup(n, r2, t2)
     assert core.coloring is not None
     colors = list(core.coloring.colors)
     for apex in range(a - m):
         colors.extend([t2 + apex] * ((m - 1) * n))
     graph, coloring = _overlay_graph([n] * r, colors, t)
-    return _checked(graph, coloring, apex_value(n, r, t), "apex-blowup")
+    return _checked(graph, coloring, value, "apex-blowup")
 
 
 def default_inner_graph(r0: int, t0: int, part_size: int) -> MultipartiteGraph:

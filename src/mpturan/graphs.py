@@ -6,10 +6,10 @@ translates between a vertex and its part. Adjacency rows are plain Python
 integers used as bitsets, which keeps neighborhood intersection, degree
 counting and complementation word-parallel in the search kernels.
 
-Parts are independent sets by construction. Every mutation path (the
-builder as well as the functional ``with_edge``) rejects intra-part pairs,
-so any graph handed out by this module satisfies the multipartite
-invariant. Graphs are immutable once built.
+Parts are independent sets by construction. Every mutation path
+(``from_edges`` as well as the functional ``with_edge``) rejects
+intra-part pairs, so any graph handed out by this module satisfies the
+multipartite invariant. Graphs are immutable once built.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from .errors import GraphStructureError
 
 __all__ = [
     "MultipartiteGraph",
-    "GraphBuilder",
     "ColorPartition",
-    "CrossingSet",
     "empty_graph",
     "complete_multipartite",
     "from_edges",
@@ -148,9 +146,6 @@ class MultipartiteGraph:
         self._check_vertex(v)
         return bool((self.rows[u] >> v) & 1)
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending lexicographic order."""
         return chain.from_iterable(
@@ -249,30 +244,6 @@ class MultipartiteGraph:
             raise GraphStructureError(
                 f"vertices {u} and {v} are both in part {self.part_of[u]}"
             )
-
-
-class GraphBuilder:
-    """Mutable edge accumulator; ``finalize`` hands out the immutable graph."""
-
-    def __init__(self, part_sizes: Iterable[int]) -> None:
-        self._skeleton = empty_graph(part_sizes)
-        self._rows = [0] * self._skeleton.n_vertices
-
-    def add_edge(self, u: int, v: int) -> "GraphBuilder":
-        self._skeleton._check_cross_pair(u, v)
-        self._rows[u] |= 1 << v
-        self._rows[v] |= 1 << u
-        return self
-
-    def add_edges(self, pairs: Iterable[tuple[int, int]]) -> "GraphBuilder":
-        for u, v in pairs:
-            self.add_edge(u, v)
-        return self
-
-    def finalize(self) -> MultipartiteGraph:
-        return MultipartiteGraph(
-            self._skeleton.part_sizes, self._rows, validate=False
-        )
 
 
 def empty_graph(part_sizes: Iterable[int]) -> MultipartiteGraph:
@@ -382,12 +353,6 @@ class ColorPartition:
             masks[c] |= 1 << v
         return masks
 
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_colors)]
-        for v, c in enumerate(self.colors):
-            out[c].append(v)
-        return out
-
     def is_proper(self, graph: MultipartiteGraph) -> bool:
         """True when every color class is an independent set of ``graph``."""
         if len(self.colors) != graph.n_vertices:
@@ -396,23 +361,3 @@ class ColorPartition:
         return all(
             graph.rows[v] & masks[c] == 0 for v, c in enumerate(self.colors)
         )
-
-
-@dataclass(frozen=True)
-class CrossingSet:
-    """Vertex set intended to hold at most one vertex per part."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
-
-    def is_crossing_in(self, graph: MultipartiteGraph) -> bool:
-        parts = [graph.part_of[v] for v in self.vertices]
-        return len(parts) == len(set(parts))
-
-    def is_independent_in(self, graph: MultipartiteGraph) -> bool:
-        mask = 0
-        for v in self.vertices:
-            mask |= 1 << v
-        return all(graph.rows[v] & mask == 0 for v in self.vertices)

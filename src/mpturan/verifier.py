@@ -27,10 +27,8 @@ from .graphs import ColorPartition, MultipartiteGraph, bit_indices
 
 __all__ = [
     "max_clique",
-    "max_clique_size",
     "find_clique",
     "max_crossing_independent",
-    "max_crossing_independent_size",
     "find_crossing_independent",
     "find_coloring",
     "aes_check",
@@ -101,10 +99,6 @@ def max_clique(g: MultipartiteGraph) -> tuple[int, tuple[int, ...]]:
     return _branch_search(g, independent=False)
 
 
-def max_clique_size(g: MultipartiteGraph) -> int:
-    return max_clique(g)[0]
-
-
 def find_clique(g: MultipartiteGraph, size: int) -> tuple[int, ...] | None:
     """A clique on ``size`` vertices, or None after exhausting the search."""
     if size < 1:
@@ -116,10 +110,6 @@ def find_clique(g: MultipartiteGraph, size: int) -> tuple[int, ...] | None:
 def max_crossing_independent(g: MultipartiteGraph) -> tuple[int, tuple[int, ...]]:
     """Largest independent set with at most one vertex per part, plus witness."""
     return _branch_search(g, independent=True)
-
-
-def max_crossing_independent_size(g: MultipartiteGraph) -> int:
-    return max_crossing_independent(g)[0]
 
 
 def find_crossing_independent(

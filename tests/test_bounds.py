@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,7 @@ from mpturan.bounds import (
     composition_bound,
     decompose,
     exact_value_cases,
-    improves_on_blowup,
     odd_t_gap,
-    residue_bounds,
     sliced_value,
     transfer_large_n,
     transfer_large_r,
@@ -139,15 +138,26 @@ def test_transfer_large_n_monotone_in_n():
         assert flags == sorted(flags)  # False ... False True ... True
 
 
+def _entry(bounds, source):
+    (entry,) = [b for b in bounds if b.source == source]
+    return entry.value, entry.conditions_met
+
+
 def test_residue_bounds():
-    assert residue_bounds(60, 10, 3) == (378, 378, True)
-    assert residue_bounds(1, 10, 3) == (6, 6, False)
-    assert residue_bounds(7, 7, 3) == (30, 30, False)
-    assert residue_bounds(60, 13, 3) == (496, 498, True)
+    # the residue case 2 <= a <= min(m, t - 1): the sliced blow-up below,
+    # the chromatic bound above, counted for f where a transfer holds
+    for (n, r, t), expected in {
+        (60, 10, 3): (378, 378, True),
+        (1, 10, 3): (6, 6, False),
+        (7, 7, 3): (30, 30, False),
+        (60, 13, 3): (496, 498, True),
+    }.items():
+        rep = best_known_bounds(n, r, t)
+        lower, _ = _entry(rep.lower_bounds, "sliced-blowup")
+        upper, met = _entry(rep.upper_bounds, "chromatic-transfer")
+        assert (lower, upper, met) == expected, (n, r, t)
     with pytest.raises(NotApplicableError):
-        residue_bounds(5, 5, 3)  # a = 1
-    with pytest.raises(DomainError):
-        residue_bounds(5, 5, 2)  # t < 3
+        transfer_large_n(5, 5, 3)  # a = 1
 
 
 def test_aes_threshold():
@@ -179,9 +189,12 @@ def test_composition_bound():
 
 
 def test_improves_on_blowup():
-    assert improves_on_blowup(10, 10, 3)
-    assert not improves_on_blowup(1, 10, 3)
-    assert improves_on_blowup(60, 10, 3)
+    # the sliced blow-up beats the balanced one once n >= (mt - 2) / (a - 1)
+    for (n, r, t), improves in {(10, 10, 3): True, (1, 10, 3): False, (60, 10, 3): True}.items():
+        lowers = best_known_bounds(n, r, t).lower_bounds
+        sliced, _ = _entry(lowers, "sliced-blowup")
+        balanced, _ = _entry(lowers, "balanced-blowup")
+        assert (sliced > balanced) is improves, (n, r, t)
 
 
 def test_odd_t_gap():
@@ -248,3 +261,66 @@ def test_report_json_dict_is_integer_only():
         raise AssertionError(f"unexpected JSON leaf {x!r}")
 
     walk(doc)
+
+
+# r = t + 1 instances with at most 18 vertices that were "bounded" before
+# the transversal family entered the table
+TRANSVERSAL_SMALL = [
+    (2, 4, 3), (2, 5, 4), (2, 6, 5), (2, 7, 6), (2, 8, 7),
+    (2, 9, 8), (3, 4, 3), (3, 5, 4), (3, 6, 5), (4, 4, 3),
+]
+
+
+def test_transversal_family_settles_r_equals_t_plus_one():
+    for n, r, t in TRANSVERSAL_SMALL:
+        rep = best_known_bounds(n, r, t)
+        assert rep.status == "exact" and rep.exact == transversal_clique_value(n, r)
+    for t in range(3, 13):
+        for n in (1, 2, 5, 12, 60, 997):
+            rep = best_known_bounds(n, t + 1, t)
+            value = transversal_clique_value(n, t + 1)
+            assert _entry(rep.lower_bounds, "transversal") == (value, True)
+            assert _entry(rep.upper_bounds, "transversal") == (value, True)
+            assert rep.exact == value
+    for n, r, t in ((3, 3, 2), (5, 6, 4), (5, 9, 4)):
+        rep = best_known_bounds(n, r, t)
+        assert "transversal" not in {b.source for b in rep.lower_bounds}
+
+
+def test_value_functions_agree_with_the_report():
+    for t in range(2, 9):
+        for r in range(t + 1, 5 * t + 1):
+            for n in (1, 2, 7, 60):
+                rep = best_known_bounds(n, r, t)
+                entries = {b.source: b.value for b in rep.lower_bounds + rep.upper_bounds}
+                for source, value_of in (
+                    ("sliced-blowup", sliced_value),
+                    ("apex-blowup", apex_value),
+                    ("chromatic-transfer", chromatic_upper),
+                ):
+                    try:
+                        value = value_of(n, r, t)
+                    except NotApplicableError:
+                        assert source not in entries, (source, n, r, t)
+                    else:
+                        assert entries[source] == value, (source, n, r, t)
+                settled = [entries.get(s) for s in ("pair-split", "divisible", "near-divisible")]
+                assert [v for v in settled if v is not None] == (
+                    [] if exact_value_cases(n, r, t) is None else [exact_value_cases(n, r, t)]
+                )
+                lo, hi = turan_sandwich(n, r, t)
+                assert (entries["balanced-blowup"], entries["edge-count"]) == (lo, math.floor(hi))
+
+
+def test_apex_value_is_the_closed_form():
+    # (r - 1) n - (m - 1) ceil((r' - 1) n / (m t' - 2)), t' = t - a + m, r' = m (t' - 1)
+    for t in range(4, 10):
+        for r in range(t + 1, 6 * t):
+            m, a = decompose(r, t)
+            if not 2 <= m < a:
+                continue
+            t2 = t - a + m
+            r2 = m * (t2 - 1)
+            for n in (1, 3, 40):
+                expected = (r - 1) * n - (m - 1) * ceil_div((r2 - 1) * n, m * t2 - 2)
+                assert apex_value(n, r, t) == expected, (n, r, t)

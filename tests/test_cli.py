@@ -276,7 +276,7 @@ def test_table_explicit_range(capsys):
         capsys, "table", "--n", "12", "--t", "4", "--r", "5..9", "--format", "json"
     )
     by_r = {row["r"]: row for row in doc}
-    assert (by_r[5]["lower"], by_r[5]["upper"]) == (39, 45)
+    assert by_r[5]["exact"] == 40  # r = t + 1: the transversal value
     assert (by_r[6]["lower"], by_r[6]["upper"]) == (50, 54)
     assert by_r[7]["exact"] == 60
     assert by_r[8]["exact"] == 72

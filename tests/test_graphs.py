@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from mpturan.errors import DomainError, GraphStructureError
 from mpturan.graphs import (
     ColorPartition,
-    CrossingSet,
-    GraphBuilder,
     MultipartiteGraph,
     complete_multipartite,
     empty_graph,
@@ -108,12 +106,6 @@ def test_edges_sorted():
     assert list(g.edges()) == [(0, 2), (1, 2)]
 
 
-def test_builder():
-    g = GraphBuilder([2, 2]).add_edge(0, 2).add_edges([(1, 3), (0, 3)]).finalize()
-    assert g.edge_count() == 3
-    assert g.degree(0) == 2
-
-
 def test_cross_complement_involution():
     g = from_edges([2, 2, 1], [(0, 2), (1, 4), (3, 4)])
     assert g.cross_complement().cross_complement() == g
@@ -149,15 +141,6 @@ def test_color_partition_proper():
     g = complete_multipartite([1, 1, 1])
     assert not ColorPartition((0, 0, 1), 2).is_proper(g)
     assert ColorPartition((0, 1, 2), 3).is_proper(g)
-    assert ColorPartition((0, 1, 2), 3).classes() == [[0], [1], [2]]
-
-
-def test_crossing_set():
-    g = empty_graph([2, 2])
-    assert CrossingSet((0, 2)).is_crossing_in(g)
-    assert not CrossingSet((0, 1)).is_crossing_in(g)
-    assert CrossingSet((0, 2)).is_independent_in(g)
-    assert not CrossingSet((0, 2)).is_independent_in(g.with_edge(0, 2))
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpturan.bounds import exact_value_cases, transversal_clique_value, turan_sandwich
+from mpturan.bounds import (
+    best_known_bounds,
+    exact_value_cases,
+    transversal_clique_value,
+    turan_sandwich,
+)
 from mpturan import oracle
 from mpturan.errors import DomainError, SizeCapError
 from mpturan.oracle import DEFAULT_CAP, duality_audit, oracle_delta, oracle_f
@@ -296,3 +301,23 @@ def test_open_case_delta_2_7_4():
     # the dual of f(2, 7, 3), which bounds place in [8, 9]; with
     # oracle_f(2, 7, 4, cap=14) = 8 the duality audit certifies f = 8
     assert oracle_delta(2, 7, 4, cap=14).value == 4
+
+
+def test_cap_grid_values_lie_in_the_bound_envelope():
+    # every committed f with t = s - 1 >= 2 and r > t is inside
+    # [best_lower, best_upper], and the closed forms settle all of them
+    checked = 0
+    for (n, r, s), (f, _) in PLAIN.items():
+        t = s - 1
+        if t < 2 or r <= t:
+            continue
+        report = best_known_bounds(n, r, t)
+        assert report.best_lower <= f <= report.best_upper, (n, r, t)
+        assert report.exact == f, (n, r, t)
+        checked += 1
+    assert checked == 43
+
+
+def test_transversal_value_at_15_vertices():
+    # r = t + 1 beyond the cap grid: the oracle agrees with the transversal family
+    assert oracle_f(3, 5, 5, cap=15).value == 10 == best_known_bounds(3, 5, 4).exact

@@ -26,9 +26,7 @@ from mpturan.verifier import (
     find_coloring,
     find_crossing_independent,
     max_clique,
-    max_clique_size,
     max_crossing_independent,
-    max_crossing_independent_size,
 )
 
 
@@ -44,17 +42,17 @@ def test_max_clique_on_blowup():
 
 
 def test_max_clique_edgeless():
-    assert max_clique_size(empty_graph([3, 3])) == 1
+    assert max_clique(empty_graph([3, 3]))[0] == 1
 
 
 def test_max_clique_complete():
-    assert max_clique_size(complete_multipartite([2, 2, 2, 2])) == 4
+    assert max_clique(complete_multipartite([2, 2, 2, 2]))[0] == 4
 
 
 def test_max_clique_apex():
     # one apex color above a 4-chromatic core: clique number exactly 5
     g = apex_blowup(6, 7, 5).graph
-    assert max_clique_size(g) == 5
+    assert max_clique(g)[0] == 5
     assert find_clique(g, 6) is None
 
 
@@ -68,7 +66,7 @@ def test_find_clique_bounds():
 
 
 def test_crossing_independent_extremes():
-    assert max_crossing_independent_size(complete_multipartite([2, 2, 2])) == 1
+    assert max_crossing_independent(complete_multipartite([2, 2, 2]))[0] == 1
     size, witness = max_crossing_independent(empty_graph([2, 2, 2]))
     assert size == 3
     assert len({v // 2 for v in witness}) == 3
@@ -77,13 +75,13 @@ def test_crossing_independent_extremes():
 def test_crossing_independent_is_crossing():
     # two vertices of one part never count, however nonadjacent they are
     g = from_edges([2, 2], [(0, 2), (0, 3), (1, 2), (1, 3)])
-    assert max_crossing_independent_size(g) == 1
+    assert max_crossing_independent(g)[0] == 1
 
 
 def test_composition_has_no_large_crossing_independent_set():
     out = block_composition(4, default_inner_graph(2, 2, 1), 2, 1, 2)
     assert find_crossing_independent(out.graph, 4) is None
-    assert max_crossing_independent_size(out.graph) == 3
+    assert max_crossing_independent(out.graph)[0] == 3
 
 
 def test_find_coloring_blowup():
@@ -244,5 +242,5 @@ def test_clique_crossing_duality_random():
             if g.part_of[u] != g.part_of[v] and rng.random() < 0.5:
                 g = g.with_edge(u, v)
         comp = g.cross_complement()
-        assert max_clique_size(g) == max_crossing_independent_size(comp)
-        assert max_crossing_independent_size(g) == max_clique_size(comp)
+        assert max_clique(g)[0] == max_crossing_independent(comp)[0]
+        assert max_crossing_independent(g)[0] == max_clique(comp)[0]
