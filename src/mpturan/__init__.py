@@ -58,9 +58,7 @@ from .graphio import (
     graph_from_json_dict,
     graph_to_json_dict,
     loads_graph,
-    read_graph,
     to_dimacs,
-    write_graph,
 )
 from .graphs import (
     ColorPartition,
@@ -146,7 +144,6 @@ __all__ = [
     "odd_t_gap",
     "oracle_delta",
     "oracle_f",
-    "read_graph",
     "sliced_blowup",
     "sliced_value",
     "to_dimacs",
@@ -155,6 +152,5 @@ __all__ = [
     "transversal_clique_value",
     "turan_blowup",
     "turan_sandwich",
-    "write_graph",
     "__version__",
 ]

@@ -304,6 +304,16 @@ def composition_bound(
         (r0 - 1) * ceil((delta0 + (k - 1) * r0) * n / (delta0 + k * r0 - 1)).
     """
     delta0 = Fraction(delta0)
+    _check_composition(n, r0, t0, k, delta0)
+    numer = (delta0 + (k - 1) * r0) * n
+    denom = delta0 + k * r0 - 1
+    return (r0 - 1) * math.ceil(numer / denom)
+
+
+def _check_composition(n: int, r0: int, t0: int, k: int, delta0: Fraction | int = 0) -> None:
+    """The block composition's argument checks; every division in its
+    formulas, and in the stock delta0 = ceil(r0 / (t0 - 1)) - 1, is
+    defined once they pass."""
     if not 2 <= t0 <= r0:
         raise DomainError(f"need 2 <= t0 <= r0, got t0={t0}, r0={r0}")
     if k < 2:
@@ -312,9 +322,18 @@ def composition_bound(
         raise DomainError(f"need part size n >= 2, got {n}")
     if delta0 < 0:
         raise DomainError(f"delta0 must be >= 0, got {delta0}")
-    numer = (delta0 + (k - 1) * r0) * n
-    denom = delta0 + k * r0 - 1
-    return (r0 - 1) * math.ceil(numer / denom)
+
+
+def _composition_slice(n: int, r0: int, k: int, delta0: Fraction) -> int:
+    """Small-side size l = floor((r0 - 1) n / (delta0 + k r0 - 1)) of the
+    block composition, for arguments that pass ``_check_composition``."""
+    size = math.floor(Fraction((r0 - 1) * n) / (delta0 + k * r0 - 1))
+    if size < 1:
+        raise DomainError(
+            f"degenerate composition: slice size floor((r0-1)n / (delta0 + k*r0 - 1)) "
+            f"is {size} for n={n}, r0={r0}, k={k}, delta0={delta0}"
+        )
+    return size
 
 
 def odd_t_gap(n: int, t: int) -> bool:

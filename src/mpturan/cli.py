@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import best_known_bounds, ceil_div
+from .bounds import _check_composition, _composition_slice, best_known_bounds, ceil_div
 from .constructions import (
     ConstructionOutput,
     apex_blowup,
@@ -100,19 +99,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _composition_from_defaults(n: int, r0: int, t0: int, k: int) -> ConstructionOutput:
-    """Compose the stock inner family: complete multipartite for t0 = 2,
-    otherwise the cross complement of a balanced clique-free blowup."""
-    if t0 == 2:
-        delta0 = Fraction(r0 - 1)
-    else:
-        delta0 = Fraction(ceil_div(r0, t0 - 1) - 1)
-    slice_size = math.floor(Fraction((r0 - 1) * n) / (delta0 + k * r0 - 1))
-    if slice_size < 1:
-        raise DomainError(
-            f"no room for an inner graph: slice size is {slice_size} "
-            f"for n={n}, r0={r0}, t0={t0}, k={k}"
-        )
-    inner = default_inner_graph(r0, t0, slice_size)
+    """Compose the stock inner family, the cross complement of a balanced
+    clique-free blowup (complete multipartite for t0 = 2), whose max
+    degree is delta0 = ceil(r0 / (t0 - 1)) - 1 times its part size."""
+    _check_composition(n, r0, t0, k)
+    delta0 = Fraction(ceil_div(r0, t0 - 1) - 1)
+    inner = default_inner_graph(r0, t0, _composition_slice(n, r0, k, delta0))
     return block_composition(n, inner, t0, delta0, k)
 
 

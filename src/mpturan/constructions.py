@@ -23,12 +23,12 @@ inputs produce identical edge sets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import (
     _apex_core,
+    _composition_slice,
     apex_value,
     ceil_div,
     composition_bound,
@@ -214,12 +214,7 @@ def block_composition(
     delta0 = Fraction(delta0)
     r0 = inner.n_parts
     bound = composition_bound(n, r0, t0, k, delta0)  # validates n, t0, r0, k, delta0
-    slice_size = math.floor(Fraction((r0 - 1) * n) / (delta0 + k * r0 - 1))
-    if slice_size < 1:
-        raise DomainError(
-            f"degenerate composition: slice size floor((r0-1)n / (delta0 + k*r0 - 1)) "
-            f"is {slice_size} for n={n}, r0={r0}, k={k}, delta0={delta0}"
-        )
+    slice_size = _composition_slice(n, r0, k, delta0)
     if set(inner.part_sizes) != {slice_size}:
         raise DomainError(
             f"inner graph parts must all have size {slice_size}, "

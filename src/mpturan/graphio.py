@@ -30,8 +30,6 @@ __all__ = [
     "graph_from_json_dict",
     "dumps_graph",
     "loads_graph",
-    "write_graph",
-    "read_graph",
     "write_text",
     "to_dimacs",
     "from_dimacs",
@@ -102,14 +100,6 @@ def write_text(path: str | Path, text: str) -> None:
         fh.flush()
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             os.ftruncate(fh.fileno(), len(data))
-
-
-def write_graph(g: MultipartiteGraph, path: str | Path) -> None:
-    write_text(path, dumps_graph(g) + "\n")
-
-
-def read_graph(path: str | Path) -> MultipartiteGraph:
-    return loads_graph(Path(path).read_text(encoding="utf-8"))
 
 
 def to_dimacs(g: MultipartiteGraph) -> str:

@@ -23,16 +23,18 @@ leader, so the values are those of the unpruned search. Each node
 resumes every generator's comparison where its parent left it.
 
 A node pays only for the pair its last decision flipped. The probe for
-a feasible completion (mode f: a clique in the graph of all pairs not
-excluded; mode delta: a crossing independent set among the included
-pairs) hands the set it found to the node's children, and a child
-probes again only when the flipped pair has both ends in that set. Mode
-delta's dead-end check asks whether the pairs not excluded leave a
-crossing independent set; those sets are exactly the cliques of the
-excluded pairs, and the parent had none, so after an exclude only
-cliques through both ends of the excluded pair are searched. The entry
-node probes in full. The search tree, every value and every witness are
-those of the full probes.
+a feasible completion (mode f: ``find_clique`` in the graph of all pairs
+not excluded; mode delta: ``find_crossing_independent`` among the
+included pairs) hands the set it found to the node's children, and a
+child probes again only when the flipped pair has both ends in that
+set. Mode delta's dead-end check asks whether the pairs not excluded
+leave a crossing independent set; those sets are exactly the cliques of
+the excluded pairs, and the parent had none, so after an exclude the
+verifier's clique kernel runs on the excluded rows, among the common
+neighbors of the excluded pair. Mode f's include check runs the same
+kernel on the included rows, among the common neighbors of the included
+pair. The entry node probes in full. The search tree, every value and
+every witness are those of the full probes.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InternalConsistencyError, SizeCapError
 from .graphs import MultipartiteGraph, complete_multipartite
-from .verifier import find_clique, find_crossing_independent
+from .verifier import _clique_in, find_clique, find_crossing_independent
 
 __all__ = [
     "MODE_F",
@@ -92,22 +94,6 @@ def _cross_pairs(n: int, r: int, seed: int | None) -> list[tuple[int, int]]:
     if seed is not None:
         random.Random(seed).shuffle(pairs)
     return pairs
-
-
-def _mask_has_clique(rows: list[int], mask: int, k: int) -> bool:
-    """True when the vertices of ``mask`` contain a clique on k vertices."""
-    if k <= 0:
-        return True
-    if mask.bit_count() < k:
-        return False
-    m = mask
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        m ^= b
-        if _mask_has_clique(rows, m & rows[v], k - 1):
-            return True
-    return False
 
 
 def _position_perms(
@@ -201,6 +187,7 @@ def _decide(
     excl = [0] * template.n_vertices
     comp = list(template.rows)
     wrap = template.with_rows
+    parts = template.part_masks
     a: list[int] = []
     # the success probe's graph, which is feasible when the probe finds
     # nothing, and the decision value that changes it
@@ -214,7 +201,7 @@ def _decide(
     def include_ok(k: int) -> bool:
         u, v = pairs[k]
         if mode == MODE_F:
-            return not _mask_has_clique(rows, rows[u] & rows[v], size - 2)
+            return _clique_in(rows, parts, rows[u] & rows[v], size - 2) is None
         return rows[u].bit_count() < bound and rows[v].bit_count() < bound
 
     def exclude_ok(k: int) -> bool:
@@ -274,7 +261,7 @@ def _decide(
                 dead = find_crossing_independent(wrap(comp), size) is not None
             else:
                 u, v = pairs[k - 1]
-                dead = _mask_has_clique(excl, excl[u] & excl[v], size - 2)
+                dead = _clique_in(excl, parts, excl[u] & excl[v], size - 2) is not None
             if dead:
                 return None
         for val, ok in ((1, include_ok), (0, exclude_ok)):

@@ -1,11 +1,14 @@
 """Exact combinatorial checkers and machine-checkable certificates.
 
-The clique and crossing-independent-set searches branch part by part in
-ascending part order, carrying the candidate set as a bitmask and pruning
-with the number of parts that still hold candidates. Vertices of a part
+One clique kernel serves every search. It walks the parts that still
+hold candidates in ascending order, carrying the candidate set as a
+bitmask and pruning with the number of such parts. Vertices of a part
 with identical adjacency rows are interchangeable, so only one
 representative per distinct row is branched on; the structured graphs
-this package builds collapse dramatically under that reduction.
+this package builds collapse dramatically under that reduction. A
+crossing independent set (at most one vertex per part) is a clique of
+the cross complement, so that search is the same kernel on the
+complemented rows. The oracle calls the kernel on its raw row lists.
 
 Coloring search is exact backtracking in saturation order with forward
 checking, so a None answer really means no coloring exists. It runs on the
@@ -45,71 +48,81 @@ CONFIRMED = "confirmed"
 REFUTED = "refuted"
 
 
-def _branch_search(
-    g: MultipartiteGraph, *, independent: bool, stop_at: int | None = None
-) -> tuple[int, tuple[int, ...]]:
-    """Shared kernel: largest crossing clique or crossing independent set.
+def _clique_in(
+    rows: Sequence[int], part_masks: Sequence[int], cand: int, k: int
+) -> tuple[int, ...] | None:
+    """The first clique on k vertices of ``cand``, or None.
 
-    A clique never holds two vertices of one part, so cliques are crossing
-    automatically and the same part-by-part scheme serves both problems;
-    only the candidate update differs.
+    The search walks the parts that still hold candidates in ascending
+    order. In each it branches on one representative per distinct row,
+    then moves past the part; it stops once fewer live parts remain than
+    vertices are missing. A clique never holds two vertices of one part,
+    so the recursion is one frame per clique vertex.
     """
-    rows = g.rows
-    part_masks = g.part_masks
-    n_parts = g.n_parts
-    best = 0
-    best_set: tuple[int, ...] = ()
-
-    def rec(pi: int, cand: int, cur: list[int]) -> None:
-        nonlocal best, best_set
-        if stop_at is not None and best >= stop_at:
-            return
-        live = [j for j in range(pi, n_parts) if cand & part_masks[j]]
-        if len(cur) + len(live) <= best:
-            return
-        if not live:
-            best = len(cur)
-            best_set = tuple(cur)
-            return
-        j = live[0]
-        in_part = cand & part_masks[j]
-        reps: dict[int, int] = {}
-        m = in_part
+    if not k:
+        return ()
+    if cand.bit_count() < k:
+        return None
+    live = [pm for pm in part_masks if cand & pm]
+    for i, pm in enumerate(live):
+        if len(live) - i < k:
+            return None
+        seen = set()
+        m = cand & pm
         while m:
             b = m & -m
             v = b.bit_length() - 1
             m ^= b
-            if rows[v] not in reps:
-                reps[rows[v]] = v
-        for v in reps.values():
-            cur.append(v)
-            if independent:
-                rec(j + 1, cand & ~rows[v], cur)
-            else:
-                rec(j + 1, cand & rows[v], cur)
-            cur.pop()
-        rec(j + 1, cand & ~part_masks[j], cur)
+            row = rows[v]
+            if row not in seen:
+                seen.add(row)
+                rest = _clique_in(rows, part_masks, cand & row, k - 1)
+                if rest is not None:
+                    return (v, *rest)
+        cand &= ~pm
+    return None
 
-    rec(0, g.full_mask, [])
-    return best, best_set
+
+def _with_depth(depth: int, fn, *args):
+    """``fn(*args)`` with room for ``depth`` nested frames.
+
+    A recursion limit raised for the call is restored before returning.
+    """
+    limit = sys.getrecursionlimit()
+    if limit >= 2 * depth + 100:
+        return fn(*args)
+    sys.setrecursionlimit(2 * depth + 100)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _first(g: MultipartiteGraph, k: int) -> tuple[int, ...] | None:
+    return _with_depth(min(k, g.n_parts), _clique_in, g.rows, g.part_masks, g.full_mask, k)
 
 
 def max_clique(g: MultipartiteGraph) -> tuple[int, tuple[int, ...]]:
-    """Clique number together with a witness clique."""
-    return _branch_search(g, independent=False)
+    """Clique number together with the first clique of that size."""
+    best: tuple[int, ...] = ()
+    for k in range(1, g.n_parts + 1):
+        found = _first(g, k)
+        if found is None:
+            break
+        best = found
+    return len(best), best
 
 
 def find_clique(g: MultipartiteGraph, size: int) -> tuple[int, ...] | None:
     """A clique on ``size`` vertices, or None after exhausting the search."""
     if size < 1:
         raise DomainError(f"clique size must be >= 1, got {size}")
-    found, witness = _branch_search(g, independent=False, stop_at=size)
-    return witness[:size] if found >= size else None
+    return _first(g, size)
 
 
 def max_crossing_independent(g: MultipartiteGraph) -> tuple[int, tuple[int, ...]]:
     """Largest independent set with at most one vertex per part, plus witness."""
-    return _branch_search(g, independent=True)
+    return max_clique(g.cross_complement())
 
 
 def find_crossing_independent(
@@ -118,8 +131,7 @@ def find_crossing_independent(
     """A crossing independent set of ``size`` vertices, or None."""
     if size < 1:
         raise DomainError(f"set size must be >= 1, got {size}")
-    found, witness = _branch_search(g, independent=True, stop_at=size)
-    return witness[:size] if found >= size else None
+    return _first(g.cross_complement(), size)
 
 
 def find_coloring(g: MultipartiteGraph, t: int) -> ColorPartition | None:
@@ -153,7 +165,9 @@ def find_coloring(g: MultipartiteGraph, t: int) -> ColorPartition | None:
             q |= 1 << class_of[u]
         quotient.append(q)
     degrees = [rows[v].bit_count() for v in reps]
-    colors = _saturation_coloring(quotient, degrees, t)
+    # k classes are k-colorable, and with t >= k colors no vertex ever sees
+    # a full palette, so the cap leaves every coloring as it was
+    colors = _saturation_coloring(quotient, degrees, min(t, len(reps)))
     if colors is None:
         return None
     return ColorPartition(tuple(colors[c] for c in class_of), t)
@@ -167,8 +181,7 @@ def _saturation_coloring(
     Backtracking in saturation order (most distinctly colored neighbors
     first, ties by ``degrees``, then lowest id) with forward checking and
     the usual new-color symmetry break. Exhaustive, hence exact. The search
-    recurses once per vertex; a recursion limit raised for it is restored
-    before returning.
+    recurses once per vertex.
     """
     n = len(rows)
     full_palette = (1 << t) - 1
@@ -220,14 +233,7 @@ def _saturation_coloring(
         uncolored.add(v)
         return False
 
-    limit = sys.getrecursionlimit()
-    if limit < 2 * n + 100:
-        sys.setrecursionlimit(2 * n + 100)
-    try:
-        found = rec()
-    finally:
-        sys.setrecursionlimit(limit)
-    return colors if found else None
+    return colors if _with_depth(n, rec) else None
 
 
 def aes_check(g: MultipartiteGraph, t: int) -> str:

@@ -206,6 +206,37 @@ def test_verify_composition_certificate(tmp_path, capsys):
     assert all(p["verdict"] for p in json.loads(out)["properties"])
 
 
+def test_verify_many_parts(tmp_path, capsys):
+    # 1,500 one-vertex parts and no edge: the clique search passes every
+    # part without a stack frame per part
+    path = tmp_path / "sparse.dimacs"
+    path.write_text("c part-sizes " + " ".join(["1"] * 1500) + "\np edge 1500 0\n")
+    code, out, err = run(
+        capsys,
+        "verify", "--in", str(path),
+        "--claim", "kfree=2", "--claim", "no_crossing_independent=2", "--format", "json",
+    )
+    assert code == 1, err
+    verdicts = {p["claim"]: p["verdict"] for p in json.loads(out)["properties"]}
+    assert verdicts == {"kfree": True, "no_crossing_independent": False}
+
+
+def test_verify_colorable_with_a_huge_palette(tmp_path, capsys):
+    path = tmp_path / "g.dimacs"
+    run(
+        capsys,
+        "construct", "--method", "turan", "--n", "2", "--r", "4", "--t", "2",
+        "--format", "dimacs", "--out", str(path),
+    )
+    code, out, err = run(
+        capsys,
+        "verify", "--in", str(path), "--claim", "colorable=1000000000000", "--format", "json",
+    )
+    assert code == 0, err
+    (prop,) = json.loads(out)["properties"]
+    assert prop["verdict"] is True
+
+
 def test_verify_aes_status(tmp_path, capsys):
     path = tmp_path / "dense.dimacs"
     run(
@@ -349,6 +380,11 @@ _BAD_ARGUMENTS = {
     "construct apex": (["construct", "--method", "apex", "--n", "1171", "--r", "14", "--t", "6"], None),
     "construct composition": (
         ["construct", "--method", "composition", "--n", "2731", "--r", "3", "--t", "2"], None
+    ),
+    "composition t 1": (["construct", "--method", "composition", "--n", "5", "--r", "3", "--t", "1"], None),
+    "composition t 0": (["construct", "--method", "composition", "--n", "5", "--r", "2", "--t", "0"], None),
+    "composition k 0": (
+        ["construct", "--method", "composition", "--n", "5", "--r", "2", "--t", "2", "--k", "0"], None
     ),
 }
 

@@ -65,6 +65,14 @@ def test_find_clique_bounds():
         find_clique(g, 0)
 
 
+def test_find_clique_on_many_parts_restores_recursion_limit():
+    # a clique needs one frame per vertex: more than the default limit
+    before = sys.getrecursionlimit()
+    clique = find_clique(complete_multipartite([1] * 1200), 1200)
+    assert clique == tuple(range(1200))
+    assert sys.getrecursionlimit() == before
+
+
 def test_crossing_independent_extremes():
     assert max_crossing_independent(complete_multipartite([2, 2, 2]))[0] == 1
     size, witness = max_crossing_independent(empty_graph([2, 2, 2]))
@@ -244,3 +252,63 @@ def test_clique_crossing_duality_random():
         comp = g.cross_complement()
         assert max_clique(g)[0] == max_crossing_independent(comp)[0]
         assert max_crossing_independent(g)[0] == max_clique(comp)[0]
+
+
+def _branch_search(g, *, independent, stop_at=None):
+    """The two-flag search that ``verifier._clique_in`` replaced, kept as
+    the reference for the witnesses it returns: the largest clique (or
+    crossing independent set) found part by part, stopping once a set of
+    ``stop_at`` vertices is found."""
+    rows = g.rows
+    part_masks = g.part_masks
+    n_parts = g.n_parts
+    best = 0
+    best_set = ()
+
+    def rec(pi, cand, cur):
+        nonlocal best, best_set
+        if stop_at is not None and best >= stop_at:
+            return
+        live = [j for j in range(pi, n_parts) if cand & part_masks[j]]
+        if len(cur) + len(live) <= best:
+            return
+        if not live:
+            best = len(cur)
+            best_set = tuple(cur)
+            return
+        j = live[0]
+        in_part = cand & part_masks[j]
+        reps = {}
+        m = in_part
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            m ^= b
+            if rows[v] not in reps:
+                reps[rows[v]] = v
+        for v in reps.values():
+            cur.append(v)
+            if independent:
+                rec(j + 1, cand & ~rows[v], cur)
+            else:
+                rec(j + 1, cand & rows[v], cur)
+            cur.pop()
+        rec(j + 1, cand & ~part_masks[j], cur)
+
+    rec(0, g.full_mask, [])
+    return best, best_set
+
+
+def _reference_find(g, size, independent):
+    found, witness = _branch_search(g, independent=independent, stop_at=size)
+    return witness[:size] if found >= size else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(multipartite_graphs(max_parts=7, max_part_size=3))
+def test_clique_kernel_matches_the_reference_search(g):
+    for size in range(1, 7):
+        assert find_clique(g, size) == _reference_find(g, size, False)
+        assert find_crossing_independent(g, size) == _reference_find(g, size, True)
+    assert max_clique(g) == _branch_search(g, independent=False)
+    assert max_crossing_independent(g) == _branch_search(g, independent=True)
