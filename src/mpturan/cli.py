@@ -160,6 +160,8 @@ def _read_graph_file(path: str) -> MultipartiteGraph:
         ) from None
     except IsADirectoryError:
         raise DomainError(f"{path} is a directory, not a graph file") from None
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return loads_graph(text)
@@ -404,9 +406,6 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -347,10 +347,11 @@ class ColorPartition:
                     f"vertex {v} has color {c}, outside [0, {self.num_colors})"
                 )
 
-    def class_masks(self) -> list[int]:
-        masks = [0] * self.num_colors
+    def class_masks(self) -> dict[int, int]:
+        """Vertex mask of each color in use, so the size is the graph's."""
+        masks: dict[int, int] = {}
         for v, c in enumerate(self.colors):
-            masks[c] |= 1 << v
+            masks[c] = masks.get(c, 0) | 1 << v
         return masks
 
     def is_proper(self, graph: MultipartiteGraph) -> bool:

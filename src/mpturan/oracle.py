@@ -1,40 +1,41 @@
 """Brute-force ground truth on tiny instances.
 
-Two independent exhaustive searches over all r-partite graphs with parts
-of size n, driven by a DFS over the cross pairs in part-major order:
+Exhaustive searches over all r-partite graphs with parts of size n,
+driven by a DFS over the cross pairs in part-major order:
 
 * ``oracle_f``: the largest minimum degree among graphs with no clique
   on q vertices.
 * ``oracle_delta``: the smallest maximum degree among graphs in which
   every crossing set of s vertices (one per part, at most) spans an edge.
 
-The two are exchanged by the cross complement, which ``duality_audit``
-exploits as an end-to-end consistency check: the values must mirror each
-other and each witness must certify the other side's property after
-complementation.
+Both run one decision search, for a graph with no clique on ``size``
+vertices and minimum degree at least a target. The cross complement
+exchanges the two problems: it turns the crossing independent sets of a
+graph into cliques and a maximum degree of delta into a minimum degree
+of (r - 1)n - delta. So mode delta runs the search on the complement,
+exclude branch first, and complements the witness it finds.
+``duality_audit`` checks that the values mirror each other; since both
+come from the one search, its independent part is the verifier's
+re-check of each complemented witness.
 
-Both searches are exact but exponential, so instances are capped at a
+The search is exact but exponential, so instances are capped at a
 small vertex count by default; the cap is a safety rail, not a
-correctness bound, and callers may raise it explicitly. By default they
-skip every assignment that adjacent part and vertex swaps prove is not
+correctness bound, and callers may raise it explicitly. By default it
+skips every assignment that adjacent part and vertex swaps prove is not
 the lexicographically greatest of its orbit (a partial lex-leader check
 after Crawford, Ginsberg, Luks and Roy, KR 1996); every orbit keeps its
 leader, so the values are those of the unpruned search. Each node
 resumes every generator's comparison where its parent left it.
 
 A node pays only for the pair its last decision flipped. The probe for
-a feasible completion (mode f: ``find_clique`` in the graph of all pairs
-not excluded; mode delta: ``find_crossing_independent`` among the
-included pairs) hands the set it found to the node's children, and a
-child probes again only when the flipped pair has both ends in that
-set. Mode delta's dead-end check asks whether the pairs not excluded
-leave a crossing independent set; those sets are exactly the cliques of
-the excluded pairs, and the parent had none, so after an exclude the
-verifier's clique kernel runs on the excluded rows, among the common
-neighbors of the excluded pair. Mode f's include check runs the same
-kernel on the included rows, among the common neighbors of the included
-pair. The entry node probes in full. The search tree, every value and
-every witness are those of the full probes.
+a feasible completion, ``find_clique`` in the graph of all pairs not
+excluded, hands the clique it found to the node's children, and a child
+probes again only when it excluded a pair with both ends in that
+clique. An include must not close a clique of the included pairs; the
+parent had none, so the verifier's clique kernel runs on the included
+rows, among the common neighbors of the included pair. The entry node
+probes in full. The search tree, every value and every witness are
+those of the full probes.
 """
 
 from __future__ import annotations
@@ -160,68 +161,48 @@ def _lex_scan(
 
 
 def _decide(
-    mode: str,
     n: int,
     r: int,
     size: int,
     bound: int,
+    first: int,
     pairs: list[tuple[int, int]],
     prefix: tuple[int, ...],
     gens: tuple[tuple[int, ...], ...],
 ) -> list[int] | None:
     """Decision search: adjacency rows of a feasible graph, or None.
 
-    Mode ``f`` asks for a graph with no clique on ``size`` vertices and
-    minimum degree at least ``bound``; mode ``delta`` for a graph with no
-    crossing independent set of ``size`` vertices and maximum degree at
-    most ``bound``. Pairs are decided strictly in list order, include
-    branch first; assignments that ``gens`` prove not lex-maximal in
-    their orbit are pruned.
+    A graph is feasible when it has no clique on ``size`` vertices and
+    minimum degree at least ``bound``. Pairs are decided strictly in list
+    order, each to ``first`` (1 includes, 0 excludes) before the other
+    value. The decided prefix, like ``prefix``, holds 1 where a pair took
+    its ``first`` value; assignments that ``gens`` prove not lex-maximal
+    in their orbit under that encoding are pruned.
     """
     npairs = len(pairs)
     template = complete_multipartite((n,) * r)
-    # rows: the included pairs; excl: the excluded pairs; comp: every
-    # cross pair not excluded, i.e. the graph that includes all undecided
-    # pairs. An include changes only rows, an exclude only excl and comp.
+    # rows: the included pairs; comp: every cross pair not excluded, i.e.
+    # the graph that includes all undecided pairs. An include changes only
+    # rows, an exclude only comp.
     rows = [0] * template.n_vertices
-    excl = [0] * template.n_vertices
     comp = list(template.rows)
     wrap = template.with_rows
     parts = template.part_masks
     a: list[int] = []
-    # the success probe's graph, which is feasible when the probe finds
-    # nothing, and the decision value that changes it
-    feasible, changed_by = (comp, 0) if mode == MODE_F else (rows, 1)
 
-    def probe() -> tuple[int, ...] | None:
-        if mode == MODE_F:
-            return find_clique(wrap(comp), size)
-        return find_crossing_independent(wrap(rows), size)
-
-    def include_ok(k: int) -> bool:
+    def allowed(k: int, val: int) -> bool:
         u, v = pairs[k]
-        if mode == MODE_F:
+        if val:
+            # rows has no clique, so a new one would hold u and v
             return _clique_in(rows, parts, rows[u] & rows[v], size - 2) is None
-        return rows[u].bit_count() < bound and rows[v].bit_count() < bound
-
-    def exclude_ok(k: int) -> bool:
-        if mode == MODE_F:
-            # comp degrees are the most each vertex can still reach
-            u, v = pairs[k]
-            return comp[u].bit_count() > bound and comp[v].bit_count() > bound
-        return True
+        # comp degrees are the most each vertex can still reach
+        return comp[u].bit_count() > bound and comp[v].bit_count() > bound
 
     def flip(k: int, val: int) -> None:
         u, v = pairs[k]
-        bu, bv = 1 << u, 1 << v
-        if val:
-            rows[u] ^= bv
-            rows[v] ^= bu
-        else:
-            excl[u] ^= bv
-            excl[v] ^= bu
-            comp[u] ^= bv
-            comp[v] ^= bu
+        side = rows if val else comp
+        side[u] ^= 1 << v
+        side[v] ^= 1 << u
 
     def rec(
         k: int,
@@ -231,77 +212,65 @@ def _decide(
     ) -> list[int] | None:
         """Search below the node with ``k`` pairs decided, the last of
         them to ``last``; ``last`` and ``wit`` are None at the entry node.
+        ``scans`` is the node's lex-leader state, and a child is entered
+        only when both its scan and its guard pass.
 
-        ``wit`` is the set that the nearest probe above found in its
-        graph: a clique of comp in mode f, a crossing independent set of
-        rows in mode delta. It stays one unless the last decision changed
-        that graph at a pair with both ends in the set, and while it stays
-        one the probe is skipped, since it could only find a set again.
+        ``wit`` is the clique of comp that the nearest probe above found.
+        It stays one unless the last decision excluded a pair with both
+        ends in it, and while it stays one the probe is skipped, since it
+        could only find a clique again.
         """
-        scans = _lex_scan(scans, a)
-        if scans is None:
-            return None
-        if wit is None or (
-            last == changed_by and pairs[k - 1][0] in wit and pairs[k - 1][1] in wit
-        ):
-            wit = probe()
+        if wit is None or (last == 0 and pairs[k - 1][0] in wit and pairs[k - 1][1] in wit):
+            wit = find_clique(wrap(comp), size)
             if wit is None:
-                # mode f: include everything still open, which lands the
-                # degrees on comp, kept at or above the target by the
-                # exclude guard; mode delta: exclude it, keeping rows
-                return feasible[:]
+                # include everything still open, which lands the degrees
+                # on comp, kept at or above the target by the exclude guard
+                return comp[:]
         if k == npairs:
             return None
-        if mode == MODE_DELTA and last != 1:
-            # a crossing independent set of comp stays one in every
-            # completion, each a subgraph of comp, so give up here. Those
-            # sets are the cliques of excl, and the parent's comp had
-            # none, so after an exclude a new one holds both ends.
-            if last is None:
-                dead = find_crossing_independent(wrap(comp), size) is not None
-            else:
-                u, v = pairs[k - 1]
-                dead = _clique_in(excl, parts, excl[u] & excl[v], size - 2) is not None
-            if dead:
-                return None
-        for val, ok in ((1, include_ok), (0, exclude_ok)):
-            if ok(k):
+        for val, mark in ((first, 1), (1 - first, 0)):
+            a.append(mark)
+            child = _lex_scan(scans, a)
+            found = None
+            if child is not None and allowed(k, val):
                 flip(k, val)
-                a.append(val)
-                found = rec(k + 1, val, wit, scans)
-                a.pop()
+                found = rec(k + 1, val, wit, child)
                 flip(k, val)
-                if found is not None:
-                    return found
+            a.pop()
+            if found is not None:
+                return found
         return None
 
-    for k, val in enumerate(prefix):
-        if not (include_ok if val else exclude_ok)(k):
+    for k, mark in enumerate(prefix):
+        val = first if mark else 1 - first
+        if not allowed(k, val):
             return None
         flip(k, val)
-        a.append(val)
-    return rec(len(prefix), None, None, [(pi, 0) for pi in gens])
+        a.append(mark)
+    scans = _lex_scan([(pi, 0) for pi in gens], a)
+    return None if scans is None else rec(len(prefix), None, None, scans)
 
 
 def _search(
-    mode: str,
     n: int,
     r: int,
     size: int,
     bound: int,
+    first: int,
     pairs: list[tuple[int, int]],
     jobs: int | None,
     gens: tuple[tuple[int, ...], ...],
 ) -> list[int] | None:
     """Run one decision, fanning out over the first two pairs if asked.
 
-    The four depth-2 prefixes are submitted in the serial DFS order and
-    the first success in that fixed order wins, so the parallel path is
-    deterministic and agrees with the serial one on the decision.
+    The four depth-2 prefixes (1 where a pair takes ``first``) are
+    submitted in the serial DFS order and the first success in that
+    fixed order wins, so the parallel path is deterministic and agrees
+    with the serial one on the decision.
     """
     if jobs is not None and jobs > 1 and len(pairs) >= 2:
         tasks = [
-            (mode, n, r, size, bound, pairs, prefix, gens)
+            (n, r, size, bound, first, pairs, prefix, gens)
             for prefix in ((1, 1), (1, 0), (0, 1), (0, 0))
         ]
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
@@ -313,7 +282,7 @@ def _search(
                         later.cancel()
                     return rows
         return None
-    return _decide(mode, n, r, size, bound, pairs, (), gens)
+    return _decide(n, r, size, bound, first, pairs, (), gens)
 
 
 def _solve(
@@ -326,12 +295,16 @@ def _solve(
     symmetry_reduction: bool,
     seed: int | None,
 ) -> OracleResult:
-    """Binary search on the degree target over exhaustive decisions.
+    """Binary search for the largest feasible target of ``_decide``.
 
-    Feasibility is monotone in the target: downward in mode f, where the
-    value is the largest feasible minimum degree, and upward in mode
-    delta, where it is the smallest feasible maximum degree. The returned
-    witness attains the value exactly.
+    Feasibility is monotone downward in the minimum degree target. Mode f
+    asks it of the graph itself, include branch first. Mode delta asks it
+    of the cross complement H of the graph G it wants, exclude branch
+    first: an include in G is an exclude in H, max deg G <= delta exactly
+    when min deg H >= (r - 1)n - delta, and the crossing independent sets
+    of G are the cliques of H. It returns the cross complement of H's
+    witness with value (r - 1)n minus H's. The witness attains the value
+    exactly.
     """
     if n < 1:
         raise DomainError(f"part size must be >= 1, got n={n}")
@@ -350,31 +323,32 @@ def _solve(
         )
     pairs = _cross_pairs(n, r, seed)
     gens = _position_perms(n, r, pairs) if symmetry_reduction else ()
-    largest = mode == MODE_F
+    first = 1 if mode == MODE_F else 0
 
     def decide(bound: int) -> list[int] | None:
-        return _search(mode, n, r, size, bound, pairs, jobs, gens)
+        return _search(n, r, size, bound, first, pairs, jobs, gens)
 
     lo, high, best = 0, (r - 1) * n, None
     while lo < high:
-        mid = (lo + high + largest) // 2
+        mid = (lo + high + 1) // 2
         rows = decide(mid)
         if rows is None:
-            lo, high = (lo, mid - 1) if largest else (mid + 1, high)
+            high = mid - 1
         else:
-            best = rows
-            lo, high = (mid, high) if largest else (lo, mid)
+            best, lo = rows, mid
     if best is None:
         best = decide(lo)
     if best is None:
         raise InternalConsistencyError("decision failed at the trivial target")
     witness = MultipartiteGraph((n,) * r, tuple(best))
-    kind, degree = (
-        ("minimum", witness.min_degree()) if largest else ("maximum", witness.max_degree())
-    )
-    if degree != lo:
-        raise InternalConsistencyError(f"witness {kind} degree {degree} != value {lo}")
-    return OracleResult(mode, n, r, size, lo, witness)
+    if mode == MODE_F:
+        value, kind, degree = lo, "minimum", witness.min_degree()
+    else:
+        witness = witness.cross_complement()
+        value, kind, degree = (r - 1) * n - lo, "maximum", witness.max_degree()
+    if degree != value:
+        raise InternalConsistencyError(f"witness {kind} degree {degree} != value {value}")
+    return OracleResult(mode, n, r, size, value, witness)
 
 
 def oracle_f(

@@ -352,10 +352,17 @@ _BAD_GRAPH_FILES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_BAD_GRAPH_FILES) + ["directory"])
+@pytest.mark.parametrize(
+    "case", sorted(_BAD_GRAPH_FILES) + ["directory", "file as directory", "name too long"]
+)
 def test_verify_malformed_input_exit_code(tmp_path, capsys, case):
     if case == "directory":
         path = tmp_path
+    elif case == "file as directory":
+        (tmp_path / "g.in").write_bytes(b"")
+        path = tmp_path / "g.in" / "x"
+    elif case == "name too long":
+        path = tmp_path / ("x" * 5000)
     else:
         path = tmp_path / "g.in"
         path.write_bytes(_BAD_GRAPH_FILES[case])

@@ -12,6 +12,7 @@ from mpturan.graphs import (
     empty_graph,
     from_edges,
 )
+from mpturan.verifier import find_coloring
 
 
 def test_complete_multipartite_degrees():
@@ -141,6 +142,19 @@ def test_color_partition_proper():
     g = complete_multipartite([1, 1, 1])
     assert not ColorPartition((0, 0, 1), 2).is_proper(g)
     assert ColorPartition((0, 1, 2), 3).is_proper(g)
+
+
+def test_color_partition_costs_memory_in_the_graph_not_the_palette():
+    g = complete_multipartite([2] * 5)
+    assert find_coloring(g, 10**12).is_proper(g)
+    coloring = find_coloring(g, 10**6)
+    tracemalloc.start()
+    try:
+        assert coloring.is_proper(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 @settings(max_examples=40, deadline=None)

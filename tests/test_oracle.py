@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -104,6 +105,12 @@ def test_oracle_variants_agree():
     assert oracle_f(1, 6, 4, jobs=2, symmetry_reduction=True, seed=5).value == plain
     d = oracle_delta(2, 3, 3).value
     assert oracle_delta(2, 3, 3, symmetry_reduction=True, seed=11).value == d
+    # the parallel prefixes mark the branch each pair tries first, which
+    # is the exclude branch in mode delta
+    for instance in [(2, 3, 3), (1, 5, 4), (2, 4, 3)]:
+        serial, fanned = oracle_delta(*instance), oracle_delta(*instance, jobs=2)
+        assert fanned.value == serial.value, instance
+        assert fanned.witness.digest() == serial.witness.digest(), instance
 
 
 def test_size_cap():
@@ -199,7 +206,11 @@ def test_probe_counts_are_pinned(monkeypatch):
     skipping, the plain search made 131,679 clique probes for f and
     401,153 cover probes for delta. Before witness reuse, the anchored
     cover check and the resumable lex scan, it made 74,140 (f) and
-    200,580 (delta), and the pruned search 867 and 2,178.
+    200,580 (delta), and the pruned search 867 and 2,178. Before mode
+    delta ran as mode f on the cross complement, delta's counts were
+    (0, 32,336) plain and (0, 26) pruned: its probes were cover probes,
+    and each decision also made one dead-end probe at the entry node,
+    on the complete graph, which now has no counterpart.
     """
     counts = {"clique": 0, "cover": 0}
 
@@ -224,9 +235,25 @@ def test_probe_counts_are_pinned(monkeypatch):
     assert seen == {
         ("oracle_f", True): (34113, 0),
         ("oracle_f", False): (467, 0),
-        ("oracle_delta", True): (0, 32336),
-        ("oracle_delta", False): (0, 26),
+        ("oracle_delta", True): (32333, 0),
+        ("oracle_delta", False): (23, 0),
     }
+
+
+# sha256 over the lines "<oracle> <n> <r> <s> <value> <witness digest>\n" of
+# oracle_f and oracle_delta on every cap-grid instance, in the order of
+# PLAIN, computed while mode delta still ran its own search: one search
+# for both modes must return the same graphs.
+CAP_GRID_WITNESS_HASH = "1b5619574caa3ce15d9abc84400b13b91add5c8481ebaa6ac58f991c090e931d"
+
+
+def test_cap_grid_witnesses_are_pinned():
+    h = hashlib.sha256()
+    for n, r, s in PLAIN:
+        for run in (oracle_f, oracle_delta):
+            res = run(n, r, s)
+            h.update(f"{run.__name__} {n} {r} {s} {res.value} {res.witness.digest()}\n".encode())
+    assert h.hexdigest() == CAP_GRID_WITNESS_HASH
 
 
 # Witness digests computed with the search as it stood before witness
