@@ -37,7 +37,8 @@ def main() -> None:
     print("remaining parts are busier:")
     g = sliced_blowup(10, 10, 3).graph
     per_part = [
-        sorted({g.degree(v) for v in g.part_range(p)}) for p in range(g.n_parts)
+        sorted({g.degree(v) for v, q in enumerate(g.part_of) if q == p})
+        for p in range(g.n_parts)
     ]
     print(f"  degree sets by part: {per_part}")
 

@@ -233,10 +233,14 @@ def turan_sandwich(n: int, r: int, t: int) -> tuple[int, Fraction]:
 
 
 def exact_value_cases(n: int, r: int, t: int) -> int | None:
-    """The settled cases, or None when no closed form pins the value.
+    """The balanced-value case split: the balanced value where it is the
+    answer, else None.
 
-    Settled: every instance with t = 2; divisible r (t | r); and
-    r = -1 (mod t) for t >= 3. All three take the balanced value.
+    It is the answer for every instance with t = 2, for divisible r
+    (t | r), and for r = -1 (mod t) with t >= 3. None does not mean that no
+    closed form pins the value: the ``transversal`` family settles
+    r = t + 1, so (3, 4, 3) gives None here while ``best_known_bounds``
+    reports it exact at 7.
     """
     _check_instance(n, r, t)
     m, a = decompose(r, t)

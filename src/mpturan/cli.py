@@ -139,7 +139,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:
         lines = [
             f"method: {args.method} ({built.source})",
-            f"parts: {g.n_parts} x {g.part_sizes[0] if g.is_balanced else list(g.part_sizes)}",
+            f"parts: {g.n_parts} x {g.part_sizes[0]}",
             f"vertices: {g.n_vertices}",
             f"edges: {g.edge_count()}",
         ]

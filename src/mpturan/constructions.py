@@ -77,7 +77,7 @@ def _overlay_graph(
         & ~class_masks[colors[v]]
         for v in range(skeleton.n_vertices)
     ]
-    return MultipartiteGraph(part_sizes, rows, validate=False), coloring
+    return skeleton.with_rows(rows), coloring
 
 
 def _checked(
@@ -260,7 +260,7 @@ def block_composition(
             v = (b * r0 + iv // slice_size) * n + iv % slice_size
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    graph = MultipartiteGraph([n] * r, rows, validate=False)
+    graph = skeleton.with_rows(rows)
 
     measured_max = graph.max_degree()
     expected_max = max(

@@ -133,6 +133,16 @@ _BLOCK = 1 << 16
 next newline, so that a large file never becomes one list of millions of
 lines."""
 
+_RUN_WINDOW = 1 << 18
+"""Characters searched for the end of the twin run that starts a block.
+
+A run becomes a template only when it is one block, so the window must hold
+the longest run a file within ``MAX_VERTICES`` can have: 16,383 lines of at
+most 14 characters (``e 16383 16384`` and its newline), 229,362 characters
+in all. When the search finds no run end, as after a vertex with no later
+neighbors (which writes no run), the block ends after ``_BLOCK`` characters.
+"""
+
 
 def _malformed(lineno: int, what: str, raw: str) -> GraphStructureError:
     return GraphStructureError(f"line {lineno}: malformed {what}: {raw.strip()[:60]!r}")
@@ -228,7 +238,7 @@ def from_dimacs(text: str) -> MultipartiteGraph:
                     skipped += len(neighbors)
                     head += 1
                     continue
-        end = text.find(f"\ne {head + 2} ", pos, pos + _BLOCK)
+        end = text.find(f"\ne {head + 2} ", pos, pos + _RUN_WINDOW)
         if end < 0:
             end = text.find("\n", pos + _BLOCK)
         end = end_of_text if end < 0 else end + 1

@@ -1,15 +1,18 @@
 """Multipartite graphs over dense bitset adjacency.
 
-Vertex ids are part-major: part ``i`` occupies the contiguous range
-``offsets[i] .. offsets[i] + part_sizes[i] - 1``, so a single table lookup
-translates between a vertex and its part. Adjacency rows are plain Python
-integers used as bitsets, which keeps neighborhood intersection, degree
-counting and complementation word-parallel in the search kernels.
+Vertex ids are part-major: each part occupies a contiguous range of ids,
+so a single table lookup, ``part_of[v]``, gives a vertex's part. Adjacency
+rows are plain Python integers used as bitsets, which keeps neighborhood
+intersection, degree counting and complementation word-parallel in the
+search kernels.
 
-Parts are independent sets by construction. Every mutation path
-(``from_edges`` as well as the functional ``with_edge``) rejects
-intra-part pairs, so any graph handed out by this module satisfies the
-multipartite invariant. Graphs are immutable once built.
+Parts are independent sets. The constructor validates its rows: one per
+vertex, in range, symmetric, and with no pair inside a part. ``with_rows``
+wraps rows that are valid by construction on the parts of an existing
+graph without checking them again, and ``from_edges`` rejects out-of-range
+ids, self-loops and intra-part pairs itself before it wraps its rows. So
+any graph handed out by this module satisfies the multipartite invariant.
+Graphs are immutable once built.
 """
 
 from __future__ import annotations
@@ -69,34 +72,24 @@ def _normalized_part_sizes(part_sizes: Iterable[int]) -> tuple[int, ...]:
 class MultipartiteGraph:
     """Immutable graph on labeled parts; edges join distinct parts only."""
 
-    __slots__ = ("part_sizes", "offsets", "part_of", "part_masks", "full_mask", "rows")
+    __slots__ = ("part_sizes", "part_of", "part_masks", "full_mask", "rows")
 
-    def __init__(
-        self,
-        part_sizes: Iterable[int],
-        rows: Iterable[int],
-        *,
-        validate: bool = True,
-    ) -> None:
+    def __init__(self, part_sizes: Iterable[int], rows: Iterable[int]) -> None:
         self.part_sizes = _normalized_part_sizes(part_sizes)
-        offsets = [0]
-        for s in self.part_sizes:
-            offsets.append(offsets[-1] + s)
-        self.offsets = tuple(offsets)
         part_of: list[int] = []
+        part_masks = []
+        n = 0
         for i, s in enumerate(self.part_sizes):
             part_of.extend([i] * s)
+            part_masks.append(((1 << s) - 1) << n)
+            n += s
         self.part_of = tuple(part_of)
-        self.part_masks = tuple(
-            ((1 << s) - 1) << self.offsets[i] for i, s in enumerate(self.part_sizes)
-        )
-        n = self.offsets[-1]
+        self.part_masks = tuple(part_masks)
         self.full_mask = (1 << n) - 1
         self.rows = tuple(rows)
         if len(self.rows) != n:
             raise GraphStructureError(f"expected {n} adjacency rows, got {len(self.rows)}")
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         rows = self.rows
@@ -119,18 +112,11 @@ class MultipartiteGraph:
 
     @property
     def n_vertices(self) -> int:
-        return self.offsets[-1]
+        return len(self.rows)
 
     @property
     def n_parts(self) -> int:
         return len(self.part_sizes)
-
-    @property
-    def is_balanced(self) -> bool:
-        return len(set(self.part_sizes)) == 1
-
-    def part_range(self, i: int) -> range:
-        return range(self.offsets[i], self.offsets[i + 1])
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -140,11 +126,6 @@ class MultipartiteGraph:
 
     def max_degree(self) -> int:
         return max(row.bit_count() for row in self.rows)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool((self.rows[u] >> v) & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending lexicographic order."""
@@ -168,22 +149,11 @@ class MultipartiteGraph:
         """
         g = object.__new__(MultipartiteGraph)
         g.part_sizes = self.part_sizes
-        g.offsets = self.offsets
         g.part_of = self.part_of
         g.part_masks = self.part_masks
         g.full_mask = self.full_mask
         g.rows = tuple(rows)
         return g
-
-    def with_edge(self, u: int, v: int) -> "MultipartiteGraph":
-        """Return a copy with edge (u, v) added; the call is idempotent."""
-        self._check_cross_pair(u, v)
-        if (self.rows[u] >> v) & 1:
-            return self
-        rows = list(self.rows)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return self.with_rows(rows)
 
     def cross_complement(self) -> "MultipartiteGraph":
         """Flip every cross-part pair; intra-part pairs stay non-edges.
@@ -229,35 +199,16 @@ class MultipartiteGraph:
             f"edges={self.edge_count()})"
         )
 
-    # -- validation helpers ---------------------------------------------
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n_vertices:
-            raise GraphStructureError(f"vertex id {v} out of range [0, {self.n_vertices})")
-
-    def _check_cross_pair(self, u: int, v: int) -> None:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise GraphStructureError(f"self-loop at vertex {u}")
-        if self.part_of[u] == self.part_of[v]:
-            raise GraphStructureError(
-                f"vertices {u} and {v} are both in part {self.part_of[u]}"
-            )
-
 
 def empty_graph(part_sizes: Iterable[int]) -> MultipartiteGraph:
     """Edgeless graph on the given parts."""
     sizes = _normalized_part_sizes(part_sizes)
-    return MultipartiteGraph(sizes, [0] * sum(sizes), validate=False)
+    return MultipartiteGraph(sizes, [0] * sum(sizes))
 
 
 def complete_multipartite(part_sizes: Iterable[int]) -> MultipartiteGraph:
     """Complete multipartite graph: every cross-part pair is an edge."""
-    g = empty_graph(part_sizes)
-    return g.with_rows(
-        g.full_mask & ~g.part_masks[g.part_of[v]] for v in range(g.n_vertices)
-    )
+    return empty_graph(part_sizes).cross_complement()
 
 
 def from_edges(
@@ -318,7 +269,7 @@ def from_edges(
             rows[w] |= to_neighbors
         for w in neighbors:
             rows[w] |= to_vertices
-    g = MultipartiteGraph(sizes, rows, validate=False)
+    g = empty_graph(sizes).with_rows(rows)
     for v, row in enumerate(g.rows):
         inside = row & g.part_masks[g.part_of[v]]
         if inside:

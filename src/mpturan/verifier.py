@@ -245,10 +245,10 @@ def aes_check(g: MultipartiteGraph, t: int) -> str:
     theorem, so ``REFUTED`` can only mean a bug in this package and is
     never an acceptable steady state.
     """
-    total = g.n_vertices
+    threshold = aes_threshold(t, g.n_vertices)
     if find_clique(g, t + 1) is not None:
         return VACUOUS
-    if Fraction(g.min_degree()) <= aes_threshold(t, total):
+    if Fraction(g.min_degree()) <= threshold:
         return VACUOUS
     return CONFIRMED if find_coloring(g, t) is not None else REFUTED
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -249,6 +250,38 @@ def test_verify_aes_status(tmp_path, capsys):
     assert json.loads(out)["aes"]["status"] == "confirmed"
 
 
+# (graph, --aes value, exit code, status or error): t < 2 is refused before
+# the graph is searched, so the sliced graph and the edgeless one agree
+_SLICED_2_5_3 = ["construct", "--method", "sliced", "--n", "2", "--r", "5", "--t", "3"]
+_AES_EXIT_CODES = {
+    "sliced aes 3": ("sliced", "3", 0, "vacuous"),
+    "sliced aes 2": ("sliced", "2", 0, "vacuous"),
+    "sliced aes 1": ("sliced", "1", 2, "error: need t >= 2, got 1"),
+    "sliced aes 0": ("sliced", "0", 2, "error: need t >= 2, got 0"),
+    "sliced aes -1": ("sliced", "-1", 2, "error: need t >= 2, got -1"),
+    "edgeless aes 2": ("edgeless", "2", 0, "vacuous"),
+    "edgeless aes 1": ("edgeless", "1", 2, "error: need t >= 2, got 1"),
+    "edgeless aes 0": ("edgeless", "0", 2, "error: need t >= 2, got 0"),
+    "edgeless aes -1": ("edgeless", "-1", 2, "error: need t >= 2, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AES_EXIT_CODES))
+def test_verify_aes_exit_codes(tmp_path, capsys, case):
+    graph, t, expected, status = _AES_EXIT_CODES[case]
+    path = tmp_path / "g.dimacs"
+    if graph == "sliced":
+        assert run(capsys, *_SLICED_2_5_3, "--format", "dimacs", "--out", str(path))[0] == 0
+    else:
+        path.write_text("c part-sizes 1 1\np edge 2 0\n")
+    code, out, err = run(capsys, "verify", "--in", str(path), "--aes", t, "--format", "json")
+    assert code == expected
+    if expected == 0:
+        assert json.loads(out)["aes"] == {"t": int(t), "status": status}
+    else:
+        assert (out, err) == ("", status + "\n")
+
+
 def test_oracle_f_json(capsys):
     doc = run_json(
         capsys, "oracle", "--mode", "f", "--n", "1", "--r", "5", "--t", "3",
@@ -463,3 +496,25 @@ def test_table_refuses_a_long_range_before_evaluating(capsys, monkeypatch):
     code, out, err = run(capsys, *_TABLE, "--r", f"4..{10**12}")
     assert (code, out) == (2, "")
     assert "limit" in err
+
+
+def test_construct_output_bytes_are_pinned(capsys):
+    """One hash over (exit code, stdout, stderr) of 1,800 ``construct``
+    calls: every method, t 1..5, r 1..3t+1, n in {0, 1, 3} and every
+    format, errors included. It guards refactors of the builders and the
+    graph type against any change in what ``construct`` prints."""
+    h = hashlib.sha256()
+    calls = 0
+    for method in ("turan", "sliced", "apex", "composition"):
+        for t in range(1, 6):
+            for r in range(1, 3 * t + 2):
+                for n in (0, 1, 3):
+                    for fmt in ("text", "json", "dimacs"):
+                        result = run(
+                            capsys, "construct", "--method", method, "--n", str(n),
+                            "--r", str(r), "--t", str(t), "--format", fmt,
+                        )
+                        h.update(repr(result).encode())
+                        calls += 1
+    assert calls == 1800
+    assert h.hexdigest() == "b6ed2c634c1932422c16fb6c83654a5756a15fcba76e0aa3a144779b4afc317c"

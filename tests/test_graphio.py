@@ -7,7 +7,7 @@ from graph_strategies import multipartite_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpturan import graphio
+from mpturan import cli, graphio
 from mpturan.cli import main
 from mpturan.constructions import apex_blowup, sliced_blowup, turan_blowup
 from mpturan.errors import GraphStructureError
@@ -455,19 +455,52 @@ def test_edited_dimacs_reads_like_the_reference(g, edits):
     assert read_outcome(from_dimacs, text) == read_outcome(reference_parse, text)
 
 
+def _record_parsed_blocks(monkeypatch):
+    """Make ``from_dimacs`` record each block it parses line by line."""
+    blocks = []
+    parse = graphio._LineParser.parse
+
+    def recording_parse(self, block):
+        blocks.append(block)
+        return parse(self, block)
+
+    monkeypatch.setattr(graphio._LineParser, "parse", recording_parse)
+    return blocks
+
+
+def _line_count(blocks):
+    return sum(len(block.splitlines()) for block in blocks)
+
+
 def test_from_dimacs_parses_repeated_runs_once(monkeypatch):
     g = sliced_blowup(60, 10, 3).graph
     text = to_dimacs(g)
-    parsed = []
-    parse = graphio._LineParser.parse
-
-    def counting_parse(self, block):
-        parsed.append(len(block.splitlines()))
-        return parse(self, block)
-
-    monkeypatch.setattr(graphio._LineParser, "parse", counting_parse)
+    blocks = _record_parsed_blocks(monkeypatch)
     assert from_dimacs(text) == g
-    assert sum(parsed) < len(text.splitlines()) // 10
+    assert _line_count(blocks) < len(text.splitlines()) // 10
+
+
+def test_from_dimacs_makes_templates_of_runs_longer_than_64_kib(monkeypatch):
+    # each vertex of the first part has a run of 12,000 lines, about 120 KB;
+    # the first run shares its block with the header and is parsed, the
+    # second becomes the template that the last two repeat
+    g = complete_multipartite([4, 12000])
+    text = to_dimacs(g)
+    blocks = _record_parsed_blocks(monkeypatch)
+    assert from_dimacs(text).digest() == g.digest()
+    assert _line_count(blocks) == 2 + 2 * 12000  # the header and two of four runs
+
+
+def test_from_dimacs_blocks_after_a_vertex_without_run_stay_small(monkeypatch):
+    # in the block composition many vertices have no later neighbors and
+    # write no run, so the search for the next run's start fails there;
+    # the block then ends at the first newline after _BLOCK characters
+    g = cli._composition_from_defaults(60, 5, 3, 2).graph
+    text = to_dimacs(g)
+    blocks = _record_parsed_blocks(monkeypatch)
+    assert from_dimacs(text) == g
+    longest = max(len(block) for block in blocks)
+    assert graphio._BLOCK < longest <= graphio._BLOCK + len(max(text.splitlines(), key=len)) + 1
 
 
 def test_from_dimacs_checks_repeated_run_ids_before_allocating():

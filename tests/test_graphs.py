@@ -22,7 +22,6 @@ def test_complete_multipartite_degrees():
     assert g.min_degree() == 8
     assert g.max_degree() == 8
     assert g.edge_count() == 40
-    assert g.is_balanced
 
 
 def test_empty_graph():
@@ -34,11 +33,9 @@ def test_empty_graph():
 
 def test_part_bookkeeping():
     g = empty_graph([2, 3, 1])
-    assert list(g.part_range(0)) == [0, 1]
-    assert list(g.part_range(1)) == [2, 3, 4]
-    assert list(g.part_range(2)) == [5]
+    assert g.part_masks == (0b000011, 0b011100, 0b100000)
     assert g.part_of == (0, 0, 1, 1, 1, 2)
-    assert not g.is_balanced
+    assert g.full_mask == 0b111111
 
 
 def test_intra_part_edge_rejected():
@@ -93,13 +90,17 @@ def test_asymmetric_rows_rejected():
         MultipartiteGraph((1, 1), (0b10, 0b00))
 
 
-def test_with_edge_functional():
-    g = empty_graph([1, 1])
-    h = g.with_edge(0, 1)
-    assert g.edge_count() == 0
-    assert h.edge_count() == 1
-    assert h.has_edge(0, 1) and h.has_edge(1, 0)
-    assert h.with_edge(0, 1) == h
+@pytest.mark.parametrize(
+    "sizes, rows",
+    [
+        ((1, 1), (0b110, 0b001)),  # a neighbor past the last vertex
+        ((2, 1), (0b010, 0b001, 0b000)),  # a pair inside part 0
+        ((1, 1), (0b10,)),  # one row short
+    ],
+)
+def test_constructor_always_validates(sizes, rows):
+    with pytest.raises(GraphStructureError):
+        MultipartiteGraph(sizes, rows)
 
 
 def test_edges_sorted():

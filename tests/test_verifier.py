@@ -31,7 +31,7 @@ from mpturan.verifier import (
 
 
 def _is_clique(g, vs):
-    return all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
+    return all((g.rows[u] >> v) & 1 for i, u in enumerate(vs) for v in vs[i + 1 :])
 
 
 def test_max_clique_on_blowup():
@@ -122,7 +122,7 @@ def _brute_colorable(g, t):
         if v == n:
             return True
         for c in range(min(t, max(colors, default=-1) + 2)):
-            if all(colors[u] != c for u in range(v) if g.has_edge(u, v)):
+            if all(colors[u] != c for u in range(v) if (g.rows[u] >> v) & 1):
                 colors.append(c)
                 if extend(v + 1):
                     return True
@@ -245,10 +245,12 @@ def test_clique_crossing_duality_random():
             for u in range(sum(sizes))
             for v in range(u + 1, sum(sizes))
         ]
-        g = empty_graph(sizes)
-        for u, v in pairs:
-            if g.part_of[u] != g.part_of[v] and rng.random() < 0.5:
-                g = g.with_edge(u, v)
+        part_of = empty_graph(sizes).part_of
+        g = from_edges(sizes, [
+            (u, v)
+            for u, v in pairs
+            if part_of[u] != part_of[v] and rng.random() < 0.5
+        ])
         comp = g.cross_complement()
         assert max_clique(g)[0] == max_crossing_independent(comp)[0]
         assert max_crossing_independent(g)[0] == max_clique(comp)[0]
