@@ -87,8 +87,6 @@ from .verifier import (
     find_clique,
     find_coloring,
     find_crossing_independent,
-    max_clique,
-    max_crossing_independent,
 )
 
 __version__ = "0.1.0"
@@ -139,8 +137,6 @@ __all__ = [
     "graph_from_json_dict",
     "graph_to_json_dict",
     "loads_graph",
-    "max_clique",
-    "max_crossing_independent",
     "odd_t_gap",
     "oracle_delta",
     "oracle_f",

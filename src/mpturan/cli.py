@@ -188,14 +188,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise DomainError("nothing to verify: pass --claim and/or --aes")
     failed = False
     doc: dict = {"graph_digest": g.digest()}
-    if claims:
-        cert = certify(g, claims)
-        doc.update(cert.to_json_dict())
-        failed |= not cert.all_true
+    # aes_check refuses a bad t before it searches, so it runs first
     if args.aes is not None:
         status = aes_check(g, args.aes)
         doc["aes"] = {"t": args.aes, "status": status}
         failed |= status == REFUTED
+    if claims:
+        cert = certify(g, claims)
+        doc.update(cert.to_json_dict())
+        failed |= not cert.all_true
     if args.format == "json":
         _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
     else:

@@ -138,16 +138,22 @@ def sliced_blowup(n: int, r: int, t: int) -> ConstructionOutput:
     m, a = decompose(r, t)
     if a == 1:
         return turan_blowup(n, r, t)
-    # the value is (r - 1) * n less m - 1 slices of l vertices
-    slice_size = ((r - 1) * n - value) // (m - 1)
-    colors = [t - 1] * (r * n)
-    for block in range(t - 1):
-        for p in range(block * m, (block + 1) * m):
-            start = p * n
-            for v in range(start, start + slice_size):
-                colors[v] = block
-    graph, coloring = _overlay_graph([n] * r, colors, t)
+    graph, coloring = _overlay_graph([n] * r, _sliced_colors(n, r, t, m), t)
     return _checked(graph, coloring, value, "sliced-blowup")
+
+
+def _sliced_colors(n: int, r: int, t: int, m: int) -> list[int]:
+    """The sliced blow-up's color of each vertex, r parts of size n.
+
+    Color i < t - 1 takes the first l = ceil((r - 1) * n / (m * t - 2))
+    vertices of each part in block i (parts i*m .. (i+1)*m - 1); color
+    t - 1 takes the rest.
+    """
+    slice_size = ceil_div((r - 1) * n, m * t - 2)
+    colors = [t - 1] * (r * n)
+    for p in range((t - 1) * m):
+        colors[p * n:p * n + slice_size] = [p // m] * slice_size
+    return colors
 
 
 def apex_blowup(n: int, r: int, t: int) -> ConstructionOutput:
@@ -162,9 +168,7 @@ def apex_blowup(n: int, r: int, t: int) -> ConstructionOutput:
     value = apex_value(n, r, t)
     m, a = decompose(r, t)
     r2, t2 = _apex_core(t, m, a)
-    core = sliced_blowup(n, r2, t2)
-    assert core.coloring is not None
-    colors = list(core.coloring.colors)
+    colors = _sliced_colors(n, r2, t2, m)
     for apex in range(a - m):
         colors.extend([t2 + apex] * ((m - 1) * n))
     graph, coloring = _overlay_graph([n] * r, colors, t)

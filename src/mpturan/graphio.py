@@ -139,8 +139,8 @@ _RUN_WINDOW = 1 << 18
 A run becomes a template only when it is one block, so the window must hold
 the longest run a file within ``MAX_VERTICES`` can have: 16,383 lines of at
 most 14 characters (``e 16383 16384`` and its newline), 229,362 characters
-in all. When the search finds no run end, as after a vertex with no later
-neighbors (which writes no run), the block ends after ``_BLOCK`` characters.
+in all. When the search finds no run end, as when the next vertex writes no
+run either, the block ends after ``_BLOCK`` characters.
 """
 
 
@@ -238,7 +238,14 @@ def from_dimacs(text: str) -> MultipartiteGraph:
                     skipped += len(neighbors)
                     head += 1
                     continue
-        end = text.find(f"\ne {head + 2} ", pos, pos + _RUN_WINDOW)
+        # the block runs up to the next vertex's run: the vertex after the
+        # head of the line at pos, or after head + 1 where pos starts no
+        # edge line (the header)
+        nxt = head + 2
+        space = text.find(" ", pos + 2, pos + 24)
+        if space > 0 and text.startswith("e ", pos) and text[pos + 2:space].isdecimal():
+            nxt = int(text[pos + 2:space]) + 1
+        end = text.find(f"\ne {nxt} ", pos, pos + _RUN_WINDOW)
         if end < 0:
             end = text.find("\n", pos + _BLOCK)
         end = end_of_text if end < 0 else end + 1

@@ -18,20 +18,17 @@ share a color, so a blow-up shrinks to a few classes per part.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .bounds import aes_threshold
 from .errors import DomainError, UnknownClaimError
 from .graphs import ColorPartition, MultipartiteGraph, bit_indices
 
 __all__ = [
-    "max_clique",
     "find_clique",
-    "max_crossing_independent",
     "find_crossing_independent",
     "find_coloring",
     "aes_check",
@@ -102,27 +99,11 @@ def _first(g: MultipartiteGraph, k: int) -> tuple[int, ...] | None:
     return _with_depth(min(k, g.n_parts), _clique_in, g.rows, g.part_masks, g.full_mask, k)
 
 
-def max_clique(g: MultipartiteGraph) -> tuple[int, tuple[int, ...]]:
-    """Clique number together with the first clique of that size."""
-    best: tuple[int, ...] = ()
-    for k in range(1, g.n_parts + 1):
-        found = _first(g, k)
-        if found is None:
-            break
-        best = found
-    return len(best), best
-
-
 def find_clique(g: MultipartiteGraph, size: int) -> tuple[int, ...] | None:
     """A clique on ``size`` vertices, or None after exhausting the search."""
     if size < 1:
         raise DomainError(f"clique size must be >= 1, got {size}")
     return _first(g, size)
-
-
-def max_crossing_independent(g: MultipartiteGraph) -> tuple[int, tuple[int, ...]]:
-    """Largest independent set with at most one vertex per part, plus witness."""
-    return max_clique(g.cross_complement())
 
 
 def find_crossing_independent(
@@ -305,16 +286,8 @@ class Certificate:
             "properties": [p.to_json_dict() for p in self.properties],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
-
-def _check_one(
-    g: MultipartiteGraph,
-    kind: str,
-    value: int,
-    witnesses: Mapping[str, object],
-) -> PropertyCheck:
+def _check_one(g: MultipartiteGraph, kind: str, value: int) -> PropertyCheck:
     if kind == "kfree":
         clique = find_clique(g, value)
         return PropertyCheck(kind, value, clique is None, list(clique) if clique else None)
@@ -327,10 +300,6 @@ def _check_one(
         at = max(range(g.n_vertices), key=g.degree)
         return PropertyCheck(kind, value, measured == value, {"vertex": at, "degree": measured})
     if kind == "colorable":
-        supplied = witnesses.get("colorable")
-        if isinstance(supplied, ColorPartition):
-            ok = supplied.num_colors <= value and supplied.is_proper(g)
-            return PropertyCheck(kind, value, ok, list(supplied.colors) if ok else None)
         coloring = find_coloring(g, value)
         return PropertyCheck(
             kind, value, coloring is not None, list(coloring.colors) if coloring else None
@@ -341,18 +310,11 @@ def _check_one(
     raise UnknownClaimError(f"unknown claim kind {kind!r}; known: {_CLAIM_KINDS}")
 
 
-def certify(
-    g: MultipartiteGraph,
-    claims: Sequence[tuple[str, int]] | Mapping[str, int],
-    witnesses: Mapping[str, object] | None = None,
-) -> Certificate:
-    """Check each claim exactly and return the verdicts with witnesses.
+def certify(g: MultipartiteGraph, claims: Sequence[tuple[str, int]]) -> Certificate:
+    """Check each (kind, value) claim exactly; return verdicts and witnesses.
 
-    ``witnesses`` may carry a known coloring under the key "colorable";
-    validating it replaces the coloring search, which keeps certification
-    of construction outputs linear in the edge count.
+    Every claim is decided by search on ``g``, a coloring claim by
+    ``find_coloring`` on the twin quotient.
     """
-    items = list(claims.items()) if isinstance(claims, Mapping) else list(claims)
-    witnesses = witnesses or {}
-    checks = tuple(_check_one(g, kind, value, witnesses) for kind, value in items)
+    checks = tuple(_check_one(g, kind, value) for kind, value in claims)
     return Certificate(graph_digest=g.digest(), properties=checks)

@@ -282,6 +282,14 @@ def test_verify_aes_exit_codes(tmp_path, capsys, case):
         assert (out, err) == ("", status + "\n")
 
 
+def test_verify_refuses_a_bad_aes_before_any_claim_search(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.dimacs"
+    assert run(capsys, *_SLICED_2_5_3, "--format", "dimacs", "--out", str(path))[0] == 0
+    monkeypatch.setattr(cli, "certify", lambda *_: pytest.fail("a claim was searched"))
+    result = run(capsys, "verify", "--in", str(path), "--claim", "kfree=4", "--aes", "1")
+    assert result == (2, "", "error: need t >= 2, got 1\n")
+
+
 def test_oracle_f_json(capsys):
     doc = run_json(
         capsys, "oracle", "--mode", "f", "--n", "1", "--r", "5", "--t", "3",
@@ -518,3 +526,52 @@ def test_construct_output_bytes_are_pinned(capsys):
                         calls += 1
     assert calls == 1800
     assert h.hexdigest() == "b6ed2c634c1932422c16fb6c83654a5756a15fcba76e0aa3a144779b4afc317c"
+
+
+# (method, n, r, t) and the graph's clique number, chromatic number,
+# largest crossing independent set, minimum and maximum degree
+_VERIFY_PIN_GRAPHS = (
+    ("turan", 3, 5, 3, (3, 3, 2, 9, 12)),
+    ("sliced", 3, 7, 3, (3, 3, 3, 12, 18)),
+    ("apex", 2, 7, 5, (4, 4, 2, 10, 12)),
+    ("composition", 5, 3, 3, (4, 4, 4, 3, 8)),
+)
+
+
+def test_verify_output_bytes_are_pinned(tmp_path, capsys):
+    """One hash over (exit code, stdout, stderr) of 85 calls: ``construct
+    --format dimacs`` for each method, then ``verify`` on each file with a
+    true and a false value of every claim kind in text and JSON, and one
+    ``--aes`` call. It guards the verifier against any change in the
+    verdicts and witnesses that ``verify`` prints."""
+    h = hashlib.sha256()
+    calls = 0
+    for method, n, r, t, (clique, chromatic, crossing, low, high) in _VERIFY_PIN_GRAPHS:
+        path = tmp_path / f"{method}.dimacs"
+        result = run(
+            capsys, "construct", "--method", method, "--n", str(n), "--r", str(r),
+            "--t", str(t), "--format", "dimacs", "--out", str(path),
+        )
+        h.update(repr(result).encode())
+        calls += 1
+        claims = (
+            ("kfree", clique + 1), ("kfree", clique),
+            ("min_degree", low), ("min_degree", low + 1),
+            ("max_degree", high), ("max_degree", high - 1),
+            ("colorable", chromatic), ("colorable", chromatic - 1),
+            ("no_crossing_independent", crossing + 1), ("no_crossing_independent", crossing),
+        )
+        for kind, value in claims:
+            for fmt in ("text", "json"):
+                result = run(
+                    capsys, "verify", "--in", str(path), "--claim", f"{kind}={value}",
+                    "--format", fmt,
+                )
+                assert result[0] == (0 if (kind, value) in claims[::2] else 1)
+                h.update(repr(result).encode())
+                calls += 1
+    result = run(capsys, "verify", "--in", str(tmp_path / "turan.dimacs"), "--aes", "3")
+    h.update(repr(result).encode())
+    calls += 1
+    assert calls == 85
+    assert h.hexdigest() == "09ee6e541f8c909b96e2b92d7f61ce0ef6db2afdd69279e04592b04a04bc9e19"

@@ -25,34 +25,25 @@ from mpturan.verifier import (
     find_clique,
     find_coloring,
     find_crossing_independent,
-    max_clique,
-    max_crossing_independent,
 )
 
 
-def _is_clique(g, vs):
-    return all((g.rows[u] >> v) & 1 for i, u in enumerate(vs) for v in vs[i + 1 :])
+def _largest(find, g):
+    """The largest set ``find(g, size)`` returns, with its size: sizes are
+    tried upward until the search finds none."""
+    best = ()
+    for size in range(1, g.n_parts + 1):
+        found = find(g, size)
+        if found is None:
+            break
+        best = found
+    return len(best), best
 
 
-def test_max_clique_on_blowup():
-    g = turan_blowup(2, 5, 3).graph
-    size, witness = max_clique(g)
-    assert size == 3
-    assert _is_clique(g, witness)
-
-
-def test_max_clique_edgeless():
-    assert max_clique(empty_graph([3, 3]))[0] == 1
-
-
-def test_max_clique_complete():
-    assert max_clique(complete_multipartite([2, 2, 2, 2]))[0] == 4
-
-
-def test_max_clique_apex():
+def test_find_clique_apex():
     # one apex color above a 4-chromatic core: clique number exactly 5
     g = apex_blowup(6, 7, 5).graph
-    assert max_clique(g)[0] == 5
+    assert find_clique(g, 5) is not None
     assert find_clique(g, 6) is None
 
 
@@ -74,8 +65,8 @@ def test_find_clique_on_many_parts_restores_recursion_limit():
 
 
 def test_crossing_independent_extremes():
-    assert max_crossing_independent(complete_multipartite([2, 2, 2]))[0] == 1
-    size, witness = max_crossing_independent(empty_graph([2, 2, 2]))
+    assert _largest(find_crossing_independent, complete_multipartite([2, 2, 2]))[0] == 1
+    size, witness = _largest(find_crossing_independent, empty_graph([2, 2, 2]))
     assert size == 3
     assert len({v // 2 for v in witness}) == 3
 
@@ -83,13 +74,13 @@ def test_crossing_independent_extremes():
 def test_crossing_independent_is_crossing():
     # two vertices of one part never count, however nonadjacent they are
     g = from_edges([2, 2], [(0, 2), (0, 3), (1, 2), (1, 3)])
-    assert max_crossing_independent(g)[0] == 1
+    assert _largest(find_crossing_independent, g)[0] == 1
 
 
 def test_composition_has_no_large_crossing_independent_set():
     out = block_composition(4, default_inner_graph(2, 2, 1), 2, 1, 2)
     assert find_crossing_independent(out.graph, 4) is None
-    assert max_crossing_independent(out.graph)[0] == 3
+    assert _largest(find_crossing_independent, out.graph)[0] == 3
 
 
 def test_find_coloring_blowup():
@@ -204,33 +195,14 @@ def test_certify_complete_graph():
     assert cert.graph_digest == g.digest()
 
 
-def test_certify_construction_with_supplied_coloring():
-    out = sliced_blowup(10, 10, 3)
-    cert = certify(
-        out.graph,
-        [("kfree", 4), ("min_degree", 63), ("colorable", 3)],
-        witnesses={"colorable": out.coloring},
-    )
-    assert cert.all_true
-
-
-def test_certify_rejects_wrong_supplied_coloring():
-    g = complete_multipartite([1, 1])
-    from mpturan.graphs import ColorPartition
-
-    bad = ColorPartition((0, 0), 2)  # both endpoints of an edge
-    cert = certify(g, [("colorable", 2)], witnesses={"colorable": bad})
-    assert not cert.all_true
-
-
 def test_certify_unknown_claim():
     with pytest.raises(UnknownClaimError):
         certify(empty_graph([1, 1]), [("girth", 3)])
 
 
 def test_certificate_json_round_trip():
-    cert = certify(complete_multipartite([2, 2]), {"kfree": 3, "min_degree": 2})
-    doc = json.loads(cert.to_json())
+    cert = certify(complete_multipartite([2, 2]), [("kfree", 3), ("min_degree", 2)])
+    doc = json.loads(json.dumps(cert.to_json_dict()))
     assert doc["all_true"] is True
     assert doc["graph_digest"].startswith("sha256:")
     assert len(doc["properties"]) == 2
@@ -252,8 +224,8 @@ def test_clique_crossing_duality_random():
             if part_of[u] != part_of[v] and rng.random() < 0.5
         ])
         comp = g.cross_complement()
-        assert max_clique(g)[0] == max_crossing_independent(comp)[0]
-        assert max_crossing_independent(g)[0] == max_clique(comp)[0]
+        assert _largest(find_clique, g)[0] == _largest(find_crossing_independent, comp)[0]
+        assert _largest(find_crossing_independent, g)[0] == _largest(find_clique, comp)[0]
 
 
 def _branch_search(g, *, independent, stop_at=None):
@@ -312,5 +284,5 @@ def test_clique_kernel_matches_the_reference_search(g):
     for size in range(1, 7):
         assert find_clique(g, size) == _reference_find(g, size, False)
         assert find_crossing_independent(g, size) == _reference_find(g, size, True)
-    assert max_clique(g) == _branch_search(g, independent=False)
-    assert max_crossing_independent(g) == _branch_search(g, independent=True)
+    assert _largest(find_clique, g) == _branch_search(g, independent=False)
+    assert _largest(find_crossing_independent, g) == _branch_search(g, independent=True)
