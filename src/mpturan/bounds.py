@@ -79,9 +79,14 @@ def _edge_count(n: int, r: int, t: int, m: int, a: int) -> Fraction:
     return Fraction((r * t - r) * n, t)
 
 
+def _slice_size(n: int, r: int, t: int, m: int) -> int:
+    """ceil((r - 1) * n / (m * t - 2)), the sliced blow-up's slice length."""
+    return ceil_div((r - 1) * n, m * t - 2)
+
+
 def _sliced(n: int, r: int, t: int, m: int, a: int) -> int:
-    """(r - 1) * n less m - 1 slices of ceil((r - 1) * n / (m * t - 2))."""
-    return (r - 1) * n - (m - 1) * ceil_div((r - 1) * n, m * t - 2)
+    """(r - 1) * n less m - 1 slices of ``_slice_size(n, r, t, m)``."""
+    return (r - 1) * n - (m - 1) * _slice_size(n, r, t, m)
 
 
 def _apex_core(t: int, m: int, a: int) -> tuple[int, int]:

@@ -37,7 +37,7 @@ from .errors import DomainError, GraphStructureError, InternalConsistencyError, 
 from .graphio import graph_to_json_dict, loads_graph, from_dimacs, to_dimacs, write_text
 from .graphs import MAX_VERTICES, MultipartiteGraph
 from .oracle import DEFAULT_CAP, duality_audit, oracle_delta, oracle_f
-from .verifier import REFUTED, aes_check, certify
+from .verifier import _CLAIMS, REFUTED, aes_check, certify
 
 __all__ = ["main"]
 
@@ -108,6 +108,16 @@ def _composition_from_defaults(n: int, r0: int, t0: int, k: int) -> Construction
     return block_composition(n, inner, t0, delta0, k)
 
 
+# Each builder is looked up by name when its method runs, never bound here,
+# so a rebinding of these names in this module reaches ``construct``.
+_METHODS = {
+    "turan": lambda a: turan_blowup(a.n, a.r, a.t),
+    "sliced": lambda a: sliced_blowup(a.n, a.r, a.t),
+    "apex": lambda a: apex_blowup(a.n, a.r, a.t),
+    "composition": lambda a: _composition_from_defaults(a.n, a.r, a.t, a.k),
+}
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     blocks = args.k if args.method == "composition" else 1
     if blocks * args.r * args.n > MAX_VERTICES:
@@ -115,14 +125,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             f"the {args.method} construction would have {blocks * args.r * args.n} "
             f"vertices, above the limit of {MAX_VERTICES}"
         )
-    if args.method == "turan":
-        built = turan_blowup(args.n, args.r, args.t)
-    elif args.method == "sliced":
-        built = sliced_blowup(args.n, args.r, args.t)
-    elif args.method == "apex":
-        built = apex_blowup(args.n, args.r, args.t)
-    else:
-        built = _composition_from_defaults(args.n, args.r, args.t, args.k)
+    built = _METHODS[args.method](args)
     g = built.graph
     if args.format == "dimacs":
         _emit(to_dimacs(g), args.out)
@@ -182,10 +185,10 @@ def _parse_claims(raw: list[str]) -> list[tuple[str, int]]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g = _read_graph_file(args.infile)
     claims = _parse_claims(args.claim or [])
     if not claims and args.aes is None:
         raise DomainError("nothing to verify: pass --claim and/or --aes")
+    g = _read_graph_file(args.infile)
     failed = False
     doc: dict = {"graph_digest": g.digest()}
     # aes_check refuses a bad t before it searches, so it runs first
@@ -316,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build an extremal graph")
     p.add_argument(
         "--method",
-        choices=("turan", "sliced", "apex", "composition"),
+        choices=tuple(_METHODS),
         required=True,
         help="construction family",
     )
@@ -344,8 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--claim",
         action="append",
         metavar="KIND=VALUE",
-        help="claim to check exactly; kinds: kfree, min_degree, max_degree, "
-        "colorable, no_crossing_independent; repeatable",
+        help=f"claim to check exactly; kinds: {', '.join(_CLAIMS)}; repeatable",
     )
     p.add_argument(
         "--aes",

@@ -29,6 +29,7 @@ from fractions import Fraction
 from .bounds import (
     _apex_core,
     _composition_slice,
+    _slice_size,
     apex_value,
     ceil_div,
     composition_bound,
@@ -37,6 +38,7 @@ from .bounds import (
 )
 from .errors import DomainError, InternalConsistencyError
 from .graphs import ColorPartition, MultipartiteGraph, complete_multipartite, empty_graph
+from .verifier import find_crossing_independent
 
 __all__ = [
     "ConstructionOutput",
@@ -149,7 +151,7 @@ def _sliced_colors(n: int, r: int, t: int, m: int) -> list[int]:
     vertices of each part in block i (parts i*m .. (i+1)*m - 1); color
     t - 1 takes the rest.
     """
-    slice_size = ceil_div((r - 1) * n, m * t - 2)
+    slice_size = _slice_size(n, r, t, m)
     colors = [t - 1] * (r * n)
     for p in range((t - 1) * m):
         colors[p * n:p * n + slice_size] = [p // m] * slice_size
@@ -229,8 +231,6 @@ def block_composition(
             f"inner graph max degree {inner.max_degree()} exceeds "
             f"delta0 * l = {delta0 * slice_size}"
         )
-    from .verifier import find_crossing_independent  # local import avoids a cycle
-
     bad = find_crossing_independent(inner, t0)
     if bad is not None:
         raise DomainError(

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "NotApplicableError",
+    "GraphStructureError",
+    "UnknownClaimError",
+    "SizeCapError",
+    "InternalConsistencyError",
+]
+
 
 class DomainError(ValueError):
     """Arguments outside an operation's mathematical domain."""

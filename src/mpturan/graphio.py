@@ -30,7 +30,6 @@ __all__ = [
     "graph_from_json_dict",
     "dumps_graph",
     "loads_graph",
-    "write_text",
     "to_dimacs",
     "from_dimacs",
 ]

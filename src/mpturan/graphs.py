@@ -30,7 +30,6 @@ __all__ = [
     "empty_graph",
     "complete_multipartite",
     "from_edges",
-    "bit_indices",
     "MAX_VERTICES",
 ]
 

@@ -236,15 +236,6 @@ def aes_check(g: MultipartiteGraph, t: int) -> str:
 
 # -- certificates ------------------------------------------------------
 
-_CLAIM_KINDS = (
-    "kfree",
-    "min_degree",
-    "max_degree",
-    "colorable",
-    "no_crossing_independent",
-)
-
-
 @dataclass(frozen=True)
 class PropertyCheck:
     """Outcome of one claim: verdict plus a re-checkable witness.
@@ -287,34 +278,44 @@ class Certificate:
         }
 
 
-def _check_one(g: MultipartiteGraph, kind: str, value: int) -> PropertyCheck:
-    if kind == "kfree":
-        clique = find_clique(g, value)
-        return PropertyCheck(kind, value, clique is None, list(clique) if clique else None)
-    if kind == "min_degree":
-        measured = g.min_degree()
-        at = min(range(g.n_vertices), key=g.degree)
-        return PropertyCheck(kind, value, measured == value, {"vertex": at, "degree": measured})
-    if kind == "max_degree":
-        measured = g.max_degree()
-        at = max(range(g.n_vertices), key=g.degree)
-        return PropertyCheck(kind, value, measured == value, {"vertex": at, "degree": measured})
-    if kind == "colorable":
-        coloring = find_coloring(g, value)
-        return PropertyCheck(
-            kind, value, coloring is not None, list(coloring.colors) if coloring else None
-        )
-    if kind == "no_crossing_independent":
-        found = find_crossing_independent(g, value)
-        return PropertyCheck(kind, value, found is None, list(found) if found else None)
-    raise UnknownClaimError(f"unknown claim kind {kind!r}; known: {_CLAIM_KINDS}")
+def _none_found(found: tuple[int, ...] | None) -> tuple[bool, list[int] | None]:
+    return found is None, list(found) if found else None
+
+
+def _extreme_degree(g: MultipartiteGraph, value: int, extreme) -> tuple[bool, dict]:
+    at = extreme(range(g.n_vertices), key=g.degree)
+    measured = g.degree(at)
+    return measured == value, {"vertex": at, "degree": measured}
+
+
+def _colorable(g: MultipartiteGraph, t: int) -> tuple[bool, list[int] | None]:
+    coloring = find_coloring(g, t)
+    return coloring is not None, list(coloring.colors) if coloring else None
+
+
+# Each entry maps (g, value) to (verdict, witness). The searches are looked
+# up by name when a claim is checked, never bound here, so a rebinding of
+# ``find_clique`` and its siblings in this module reaches ``certify``.
+_CLAIMS = {
+    "kfree": lambda g, k: _none_found(find_clique(g, k)),
+    "min_degree": lambda g, d: _extreme_degree(g, d, min),
+    "max_degree": lambda g, d: _extreme_degree(g, d, max),
+    "colorable": _colorable,
+    "no_crossing_independent": lambda g, k: _none_found(find_crossing_independent(g, k)),
+}
 
 
 def certify(g: MultipartiteGraph, claims: Sequence[tuple[str, int]]) -> Certificate:
     """Check each (kind, value) claim exactly; return verdicts and witnesses.
 
     Every claim is decided by search on ``g``, a coloring claim by
-    ``find_coloring`` on the twin quotient.
+    ``find_coloring`` on the twin quotient. An unknown kind is refused
+    before the first search.
     """
-    checks = tuple(_check_one(g, kind, value) for kind, value in claims)
+    for kind, _ in claims:
+        if kind not in _CLAIMS:
+            raise UnknownClaimError(f"unknown claim kind {kind!r}; known: {tuple(_CLAIMS)}")
+    checks = tuple(
+        PropertyCheck(kind, value, *_CLAIMS[kind](g, value)) for kind, value in claims
+    )
     return Certificate(graph_digest=g.digest(), properties=checks)

@@ -413,6 +413,18 @@ def test_verify_malformed_input_exit_code(tmp_path, capsys, case):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "claims", [[], ["--claim", "kfree"], ["--claim", "kfree=x"]], ids=["none", "no value", "not int"]
+)
+def test_verify_checks_its_claims_before_reading_the_graph(tmp_path, capsys, monkeypatch, claims):
+    path = tmp_path / "g.dimacs"
+    assert run(capsys, *_SLICED_2_5_3, "--format", "dimacs", "--out", str(path))[0] == 0
+    monkeypatch.setattr(cli, "from_dimacs", lambda *_: pytest.fail("the graph was read"))
+    code, out, err = run(capsys, "verify", "--in", str(path), *claims)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 _ORACLE = ["oracle", "--mode", "f", "--n", "1", "--r", "4", "--t", "3"]
 # each construct case builds just past graphs.MAX_VERTICES = 16384 vertices
 _BAD_ARGUMENTS = {

@@ -55,3 +55,20 @@ def test_tracer_installs_and_restores_every_swap():
     finally:
         tracer.restore()
     assert [dict(vars(owner)) for owner in OWNERS] == before
+
+
+def test_tracer_sees_each_layer_through_the_cli(tmp_path, capsys):
+    tracer = _load_tracing().Tracer()
+    path = tmp_path / "g.dimacs"
+    try:
+        tracer.install()
+        construct = ["construct", "--method", "sliced", "--n", "2", "--r", "5", "--t", "3"]
+        assert mpturan.cli.main([*construct, "--format", "dimacs", "--out", str(path)]) == 0
+        assert mpturan.cli.main(["verify", "--in", str(path), "--claim", "colorable=3"]) == 0
+        assert mpturan.cli.main(["oracle", "--mode", "audit", "--n", "1", "--r", "4", "--t", "2"]) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    totals = tracer.layer_totals()
+    for name in ("constructions.build", "verifier.find_coloring", "oracle.probe.clique"):
+        assert totals[name]["calls"] > 0, name

@@ -7,6 +7,7 @@ from graph_strategies import multipartite_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpturan import verifier
 from mpturan.constructions import (
     apex_blowup,
     block_composition,
@@ -195,9 +196,11 @@ def test_certify_complete_graph():
     assert cert.graph_digest == g.digest()
 
 
-def test_certify_unknown_claim():
-    with pytest.raises(UnknownClaimError):
-        certify(empty_graph([1, 1]), [("girth", 3)])
+def test_certify_unknown_claim(monkeypatch):
+    # the kind is refused before the claims ahead of it are searched
+    monkeypatch.setattr(verifier, "find_clique", lambda *_: pytest.fail("a claim was searched"))
+    with pytest.raises(UnknownClaimError, match="unknown claim kind 'girth'; known: "):
+        certify(complete_multipartite([1] * 4), [("kfree", 3), ("girth", 5)])
 
 
 def test_certificate_json_round_trip():
