@@ -37,13 +37,24 @@ from .errors import DomainError, GraphStructureError, InternalConsistencyError, 
 from .graphio import graph_to_json_dict, loads_graph, from_dimacs, to_dimacs, write_text
 from .graphs import MAX_VERTICES, MultipartiteGraph
 from .oracle import DEFAULT_CAP, duality_audit, oracle_delta, oracle_f
-from .verifier import _CLAIMS, REFUTED, aes_check, certify
+from .verifier import _CLAIMS, REFUTED, _check_claim_kinds, aes_check, certify
 
 __all__ = ["main"]
 
 # ``table`` builds every row before it prints; a longer range is refused
 # up front instead of ending out of memory
 MAX_TABLE_ROWS = 10_000
+
+# Python prints no int of more than 4,300 digits; the commands print products
+# of at most two arguments, at most 4,000 digits within this limit
+MAX_INT_DIGITS = 2_000
+_INT_BOUND = 10**MAX_INT_DIGITS
+
+
+def _check_digits(value: int, what: str) -> int:
+    if abs(value) >= _INT_BOUND:
+        raise DomainError(f"{what} has more than {MAX_INT_DIGITS} digits")
+    return value
 
 
 def _env_jobs() -> int | None:
@@ -122,8 +133,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     blocks = args.k if args.method == "composition" else 1
     if blocks * args.r * args.n > MAX_VERTICES:
         raise DomainError(
-            f"the {args.method} construction would have {blocks * args.r * args.n} "
-            f"vertices, above the limit of {MAX_VERTICES}"
+            f"the {args.method} construction would have {blocks * args.r} parts of "
+            f"{args.n} vertices, above the limit of {MAX_VERTICES} vertices"
         )
     built = _METHODS[args.method](args)
     g = built.graph
@@ -186,6 +197,7 @@ def _parse_claims(raw: list[str]) -> list[tuple[str, int]]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     claims = _parse_claims(args.claim or [])
+    _check_claim_kinds(claims)
     if not claims and args.aes is None:
         raise DomainError("nothing to verify: pass --claim and/or --aes")
     g = _read_graph_file(args.infile)
@@ -254,11 +266,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _parse_r_range(raw: str) -> tuple[int, int]:
     lo, sep, hi = raw.partition("..")
     try:
-        if sep:
-            return int(lo), int(hi)
-        return int(raw), int(raw)
+        ends = (int(lo), int(hi)) if sep else (int(raw), int(raw))
     except ValueError:
         raise DomainError(f"range must look like 5..13 or a single integer, got {raw!r}")
+    return _check_digits(ends[0], "--r"), _check_digits(ends[1], "--r")
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -399,6 +410,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if type(value) is int:
+                _check_digits(value, f"--{name}")
         return args.func(args)
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -87,7 +87,6 @@ def _checked(
     coloring: ColorPartition | None,
     expected_min_degree: int,
     source: str,
-    max_degree: int | None = None,
 ) -> ConstructionOutput:
     measured = graph.min_degree()
     if measured != expected_min_degree:
@@ -101,7 +100,7 @@ def _checked(
         graph=graph,
         coloring=coloring,
         claimed_min_degree=expected_min_degree,
-        claimed_max_degree=max_degree,
+        claimed_max_degree=None,
         source=source,
     )
 

@@ -4,8 +4,7 @@ Two formats:
 
 * a canonical JSON document (schema_version 1) holding the part sizes
   and the sorted edge list; serialization is byte-stable, so a load
-  followed by a dump reproduces the input exactly, and digests of the
-  serialized form are meaningful;
+  followed by a dump reproduces the input exactly;
 * DIMACS edge format with a ``c part-sizes`` comment carrying the
   partition, 1-indexed as usual.
 
@@ -17,12 +16,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 from array import array
 from pathlib import Path
 
 from .errors import GraphStructureError
-from .graphs import MultipartiteGraph, bit_indices, from_edges
+from .graphs import MAX_VERTICES, MultipartiteGraph, bit_indices, from_edges
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -127,20 +127,20 @@ def to_dimacs(g: MultipartiteGraph) -> str:
     return "".join(chunks)
 
 
-_BLOCK = 1 << 16
-"""Characters the per-line parser takes at most before a block ends at the
-next newline, so that a large file never becomes one list of millions of
-lines."""
+_WINDOW = 1 << 18
+"""Characters searched for the end of the run that starts a block; a block
+with no run end in them ends at the next newline after them, so that a large
+file never becomes one list of millions of lines. A run becomes a template
+only when it is one block, so the window holds the longest run a file within
+``MAX_VERTICES`` can have: 16,383 lines of at most 14 characters (``e 16383
+16384`` and its newline), 229,362 characters in all."""
 
-_RUN_WINDOW = 1 << 18
-"""Characters searched for the end of the twin run that starts a block.
-
-A run becomes a template only when it is one block, so the window must hold
-the longest run a file within ``MAX_VERTICES`` can have: 16,383 lines of at
-most 14 characters (``e 16383 16384`` and its newline), 229,362 characters
-in all. When the search finds no run end, as when the next vertex writes no
-run either, the block ends after ``_BLOCK`` characters.
-"""
+_RUN = re.compile(rf"(?a)e (\d{{1,10}}) \d+\r?\n(?:e \1 \d+\r?\n){{0,{MAX_VERTICES - 2}}}")
+"""One vertex's run as ``to_dimacs`` writes it: ``e h v`` lines under one
+head h, at most ``MAX_VERTICES - 1`` of them. The bound keeps a match within
+one run, so a long text under one head is not scanned again from every
+block, which would take quadratic time; ten digits keep ``int`` on the head
+far below the interpreter's digit limit."""
 
 
 def _malformed(lineno: int, what: str, raw: str) -> GraphStructureError:
@@ -202,7 +202,7 @@ def from_dimacs(text: str) -> MultipartiteGraph:
     Every line goes through one per-line parser, with one shortcut for the
     runs of twins that ``to_dimacs`` writes. The text is read in blocks
     that end where the writer would start the next vertex's run. A block
-    that is exactly one run, ``e h v`` lines all under one head h, becomes
+    that is exactly one run, one match of ``_RUN`` under a head h, becomes
     a template. Where the text then continues with that run's text under
     the head h + 1, those lines are counted but not parsed: they are the
     template's edges with the new head, and ``from_edges`` receives them
@@ -210,69 +210,51 @@ def from_dimacs(text: str) -> MultipartiteGraph:
     """
     lines = _LineParser()
     groups: list[tuple[list[int], array]] = []
-    skipped = 0  # edges in the lines taken by the shortcut
     pos, end_of_text = 0, len(text)
     head = 0  # 1-based head of the last edge line or shortcut run
-    template: tuple[str, str, array] | None = None
+    template: tuple[re.Match, list[int], array] | None = None
     while pos < end_of_text:
         if template is not None:
-            run, old, neighbors = template
-            new = f"e {head + 1} "
-            # The first line rules out most runs that differ. The run has
-            # one edge per line and, not being the last block, ends with a
-            # newline; if every other line break is the newline before an
-            # ``old``, each line is ``old`` and one token, so the run under
-            # the new head reads as the same edges.
-            if text.startswith(
-                new + run[len(old):run.find("\n") + 1], pos
-            ) and run.count("\n" + old) == len(neighbors) - 1:
-                candidate = new + run[len(old):].replace("\n" + old, "\n" + new)
-                if text.startswith(candidate, pos):
-                    if groups and groups[-1][1] is neighbors:
-                        groups[-1][0].append(head)
-                    else:
-                        groups.append(([head], neighbors))
-                    pos += len(candidate)
-                    lines.lineno += len(neighbors)
-                    skipped += len(neighbors)
-                    head += 1
-                    continue
+            run, heads, neighbors = template
+            # ``e h `` opens each line of a matched run and occurs nowhere else in it
+            candidate = run[0].replace(f"e {run[1]} ", f"e {head + 1} ")
+            if text.startswith(candidate, pos):
+                if not heads:
+                    groups.append((heads, neighbors))
+                heads.append(head)
+                pos += len(candidate)
+                lines.lineno += len(neighbors)
+                head += 1
+                continue
         # the block runs up to the next vertex's run: the vertex after the
-        # head of the line at pos, or after head + 1 where pos starts no
-        # edge line (the header)
-        nxt = head + 2
-        space = text.find(" ", pos + 2, pos + 24)
-        if space > 0 and text.startswith("e ", pos) and text[pos + 2:space].isdecimal():
-            nxt = int(text[pos + 2:space]) + 1
-        end = text.find(f"\ne {nxt} ", pos, pos + _RUN_WINDOW)
+        # head of the run at pos, or after head + 1 where pos starts no run
+        run = _RUN.match(text, pos)
+        nxt = int(run[1]) + 1 if run else head + 2
+        end = text.find(f"\ne {nxt} ", pos, pos + _WINDOW)
         if end < 0:
-            end = text.find("\n", pos + _BLOCK)
+            end = text.find("\n", pos + _WINDOW)
         end = end_of_text if end < 0 else end + 1
-        block = text[pos:end]
-        first_edge, first_line = len(lines.us), lines.lineno
-        lines.parse(block)
-        pos, template = end, None
-        n_edges = len(lines.us) - first_edge
-        if n_edges:
+        first_edge = len(lines.us)
+        lines.parse(text[pos:end])
+        if len(lines.us) > first_edge:
             head = lines.us[-1] + 1
-            old = f"e {head} "
-            if n_edges == lines.lineno - first_line and block.startswith(old):
-                template = (block, old, lines.vs[first_edge:])
+        pos, template = end, None
+        if run and run.end() == end:
+            template = (run, [], lines.vs[first_edge:])
     if lines.part_sizes is None:
         raise GraphStructureError(
             "missing 'c part-sizes' comment; the partition cannot be recovered"
         )
-    part_sizes = lines.part_sizes
     if lines.declared is not None:
         n_vertices, n_edges = lines.declared
-        if n_vertices != sum(part_sizes):
+        if n_vertices != sum(lines.part_sizes):
             raise GraphStructureError(
                 f"problem line declares {n_vertices} vertices, "
-                f"part sizes sum to {sum(part_sizes)}"
+                f"part sizes sum to {sum(lines.part_sizes)}"
             )
-        found = len(lines.us) + skipped
+        found = len(lines.us) + sum(len(heads) * len(nb) for heads, nb in groups)
         if n_edges != found:
             raise GraphStructureError(
                 f"problem line declares {n_edges} edges, found {found}"
             )
-    return from_edges(part_sizes, zip(lines.us, lines.vs), groups)
+    return from_edges(lines.part_sizes, zip(lines.us, lines.vs), groups)

@@ -305,6 +305,12 @@ _CLAIMS = {
 }
 
 
+def _check_claim_kinds(claims: Sequence[tuple[str, int]]) -> None:
+    for kind, _ in claims:
+        if kind not in _CLAIMS:
+            raise UnknownClaimError(f"unknown claim kind {kind!r}; known: {tuple(_CLAIMS)}")
+
+
 def certify(g: MultipartiteGraph, claims: Sequence[tuple[str, int]]) -> Certificate:
     """Check each (kind, value) claim exactly; return verdicts and witnesses.
 
@@ -312,9 +318,7 @@ def certify(g: MultipartiteGraph, claims: Sequence[tuple[str, int]]) -> Certific
     ``find_coloring`` on the twin quotient. An unknown kind is refused
     before the first search.
     """
-    for kind, _ in claims:
-        if kind not in _CLAIMS:
-            raise UnknownClaimError(f"unknown claim kind {kind!r}; known: {tuple(_CLAIMS)}")
+    _check_claim_kinds(claims)
     checks = tuple(
         PropertyCheck(kind, value, *_CLAIMS[kind](g, value)) for kind, value in claims
     )

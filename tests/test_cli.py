@@ -414,7 +414,9 @@ def test_verify_malformed_input_exit_code(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize(
-    "claims", [[], ["--claim", "kfree"], ["--claim", "kfree=x"]], ids=["none", "no value", "not int"]
+    "claims",
+    [[], ["--claim", "kfree"], ["--claim", "kfree=x"], ["--claim", "girth=5"]],
+    ids=["none", "no value", "not int", "unknown kind"],
 )
 def test_verify_checks_its_claims_before_reading_the_graph(tmp_path, capsys, monkeypatch, claims):
     path = tmp_path / "g.dimacs"
@@ -441,6 +443,11 @@ _BAD_ARGUMENTS = {
     "construct composition": (
         ["construct", "--method", "composition", "--n", "2731", "--r", "3", "--t", "2"], None
     ),
+    # k, r and n multiply to 6,000 digits, too long for Python to print
+    "construct composition of 2,000-digit arguments": (
+        ["construct", "--method", "composition", "--n", "9" * 2000, "--r", "9" * 2000,
+         "--t", "2", "--k", "9" * 2000], None
+    ),
     "composition t 1": (["construct", "--method", "composition", "--n", "5", "--r", "3", "--t", "1"], None),
     "composition t 0": (["construct", "--method", "composition", "--n", "5", "--r", "2", "--t", "0"], None),
     "composition k 0": (
@@ -462,6 +469,7 @@ def test_bad_arguments_exit_code(capsys, monkeypatch, case):
 
 _TABLE = ["table", "--n", "3", "--t", "3"]
 _ORACLE_F = ["oracle", "--mode", "f", "--n", "2", "--t", "3"]
+_HUGE = "9" * 4299
 # (argv, exit code): bad instances, malformed or oversized ranges, and
 # oracle instances over the vertex cap
 _EXIT_CODES = {
@@ -493,6 +501,17 @@ _EXIT_CODES = {
         ["oracle", "--mode", "audit", "--n", "2", "--r", "6", "--t", "3"], 3
     ),
     "oracle f over a lowered cap": (_ORACLE_F + ["--r", "3", "--cap", "5"], 3),
+    # Python prints no int of more than 4,300 digits; each of these would
+    # print a product of n and another argument
+    "bounds n of 4,299 digits": (["bounds", "--n", _HUGE, "--r", "100", "--t", "3"], 2),
+    "bounds json n of 4,299 digits": (
+        ["bounds", "--n", _HUGE, "--r", "100", "--t", "3", "--format", "json"], 2
+    ),
+    "table n of 4,299 digits": (["table", "--n", _HUGE, "--t", "3", "--r", "20..20"], 2),
+    "oracle delta n of 4,299 digits": (
+        ["oracle", "--mode", "delta", "--n", _HUGE, "--r", "200", "--t", "200", "--cap", "12"], 2
+    ),
+    "table range end of 2,001 digits": (_TABLE + ["--r", "9" * 2001], 2),
 }
 
 
@@ -503,6 +522,18 @@ def test_bounds_table_oracle_exit_codes(capsys, case):
     assert code == expected
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "9" * 2000, "--r", "100", "--t", "3", "--format", "json"],
+        ["table", "--n", "9" * 2000, "--t", "3", "--r", "9" * 2000],
+    ],
+    ids=["bounds", "table"],
+)
+def test_integers_of_2000_digits_are_accepted(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_table_at_the_row_limit(capsys):

@@ -90,14 +90,15 @@ def interleave(lines, step=97):
     return [line for i in range(step) for line in lines[i::step]]
 
 
-# (method, n, r, t): the DIMACS graphs of the benchmark's certify workload
-CERTIFY_GRAPHS = [
-    ("sliced", 60, 10, 3),
-    ("turan", 60, 10, 3),
-    ("apex", 40, 14, 6),
-    ("composition", 60, 5, 3),
-    ("sliced", 200, 13, 3),
-]
+# (method, n, r, t): the DIMACS graphs of the benchmark's certify workload,
+# each with the number of its lines that the reader parses one by one
+CERTIFY_GRAPHS = {
+    ("sliced", 60, 10, 3): 3884,
+    ("turan", 60, 10, 3): 902,
+    ("apex", 40, 14, 6): 6770,
+    ("composition", 60, 5, 3): 1622,
+    ("sliced", 200, 13, 3): 21287,
+}
 
 
 def constructed_graph(tmp_path, method, n, r, t):
@@ -388,7 +389,7 @@ def test_twin_runs_read_like_the_reference(text):
 
 
 @pytest.mark.parametrize("construction", CERTIFY_GRAPHS, ids=lambda c: "{}{}".format(*c[:1], c[1:]))
-def test_dimacs_matches_the_references_on_constructions(tmp_path, construction):
+def test_dimacs_matches_the_references_on_constructions(tmp_path, monkeypatch, construction):
     g = constructed_graph(tmp_path, *construction)
     text = to_dimacs(g)
     assert text == reference_dimacs(g)
@@ -396,7 +397,9 @@ def test_dimacs_matches_the_references_on_constructions(tmp_path, construction):
     reordered = reorder_edge_lines(text, interleave)
     expected = reference_parse(reordered)
     assert expected == g
+    blocks = _record_parsed_blocks(monkeypatch)
     assert from_dimacs(text) == expected
+    assert _line_count(blocks) == CERTIFY_GRAPHS[construction]
     assert from_dimacs(reordered) == expected
 
 
@@ -495,14 +498,14 @@ def test_from_dimacs_blocks_after_a_vertex_without_run_stay_small(monkeypatch):
     # in the block composition many vertices have no later neighbors and
     # write no run; the run after such a vertex still ends its block at the
     # next run's start and becomes a template, so few of the 44,975 lines
-    # are parsed, and no block runs far past _BLOCK characters
+    # are parsed, and no block runs far past 64 KiB
     g = cli._composition_from_defaults(60, 5, 3, 2).graph
     text = to_dimacs(g)
     blocks = _record_parsed_blocks(monkeypatch)
     assert from_dimacs(text) == g
     assert _line_count(blocks) <= 1622
     longest = max(len(block) for block in blocks)
-    assert longest <= graphio._BLOCK + len(max(text.splitlines(), key=len)) + 1
+    assert longest <= (1 << 16) + len(max(text.splitlines(), key=len)) + 1
 
 
 def test_from_dimacs_checks_repeated_run_ids_before_allocating():
