@@ -4,9 +4,11 @@ Throughout, ``f(n, r, t)`` denotes the largest minimum degree among
 r-partite graphs with parts of size n and no clique on t + 1 vertices, and
 ``d(n, r, t)`` the same maximum restricted to graphs of chromatic number at
 most t. Functions here evaluate the known closed forms and certified
-bounds on these quantities. Everything is exact: values are Python ints,
-intermediate ratios are ``fractions.Fraction``. No floats anywhere, so
-razor-edge condition checks compare rationals literally.
+bounds on these quantities. Everything is exact: values and conditions
+are evaluated in Python ints, razor-edge conditions as cross-multiplied
+integer comparisons. ``fractions.Fraction`` appears only where a function
+returns a rational (``turan_sandwich``, ``aes_threshold``) or takes one
+(``delta0`` of the block composition). No floats anywhere.
 
 The residue decomposition r = m*t - a with m = ceil(r/t) and
 0 <= a <= t - 1 organizes the case analysis and recurs in most signatures.
@@ -74,9 +76,9 @@ def _balanced(n: int, r: int, t: int, m: int, a: int) -> int:
     return (r - m) * n
 
 
-def _edge_count(n: int, r: int, t: int, m: int, a: int) -> Fraction:
-    """(r - r/t) * n, the classical edge-count barrier."""
-    return Fraction((r * t - r) * n, t)
+def _edge_count(n: int, r: int, t: int, m: int, a: int) -> int:
+    """floor((r - r/t) * n), the classical edge-count barrier."""
+    return (r * t - r) * n // t
 
 
 def _slice_size(n: int, r: int, t: int, m: int) -> int:
@@ -137,12 +139,11 @@ def _large_n_applies(m: int, a: int) -> bool:
 
 
 def _large_n_holds(n: int, r: int, t: int, m: int, a: int) -> bool:
-    lhs = (
-        Fraction(r, t * (3 * t - 1) * (m - 1))
-        - Fraction(a, t * (m - 1))
-        + Fraction(a - 1, m * t - 2)
-    )
-    return lhs >= Fraction(1, n)
+    # the left side of ``transfer_large_n`` over its common denominator
+    # t(m-1)(3t-1)(mt-2), which is positive since 2 <= a <= m gives m >= 2
+    s, u = 3 * t - 1, m * t - 2
+    numer = r * u - a * s * u + (a - 1) * t * (m - 1) * s
+    return n * numer >= t * (m - 1) * s * u
 
 
 def transfer_large_n(n: int, r: int, t: int) -> bool:
@@ -153,7 +154,8 @@ def transfer_large_n(n: int, r: int, t: int) -> bool:
         r / (t * (3t - 1) * (m - 1)) - a / (t * (m - 1)) + (a - 1) / (mt - 2)
             >= 1 / n,
 
-    evaluated in exact rational arithmetic. Monotone nondecreasing in n.
+    evaluated exactly, as one integer comparison after multiplying both
+    sides by n and the common denominator. Monotone nondecreasing in n.
     """
     if n < 1:
         raise DomainError(f"part size n must be >= 1, got {n}")
@@ -205,10 +207,7 @@ _FAMILIES: tuple[_Family, ...] = (
         lambda n, r, t, m, a: transversal_clique_value(n, r),
     ),
     _Family("balanced-blowup", "lower", _always, _balanced),
-    _Family(
-        "edge-count", "upper", _always,
-        lambda n, r, t, m, a: math.floor(_edge_count(n, r, t, m, a)),
-    ),
+    _Family("edge-count", "upper", _always, _edge_count),
     _Family("sliced-blowup", "lower", lambda t, m, a: 1 <= a <= m, _sliced),
     _Family("apex-blowup", "lower", lambda t, m, a: 2 <= m < a, _apex),
     _Family("chromatic-transfer", "upper", lambda t, m, a: a >= 1, _chromatic, _transfers),
@@ -234,7 +233,7 @@ def turan_sandwich(n: int, r: int, t: int) -> tuple[int, Fraction]:
     """
     _check_instance(n, r, t)
     m, a = decompose(r, t)
-    return _balanced(n, r, t, m, a), _edge_count(n, r, t, m, a)
+    return _balanced(n, r, t, m, a), Fraction((r * t - r) * n, t)
 
 
 def exact_value_cases(n: int, r: int, t: int) -> int | None:

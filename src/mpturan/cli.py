@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .bounds import _check_composition, _composition_slice, best_known_bounds, ceil_div
@@ -308,6 +309,10 @@ def _add_common_output(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> 
     p.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 
 
+# Built on the first ``main`` call, not at import, and kept for the process.
+# Parsing keeps no state in the parser: each call gets a fresh namespace,
+# and every ``_cmd_*`` resolves the functions it calls when it runs.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpturan",

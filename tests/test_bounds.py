@@ -1,7 +1,11 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpturan.bounds import (
     aes_threshold,
@@ -117,8 +121,23 @@ def test_transfer_large_r():
         transfer_large_r(10, 3, 3)
 
 
+def _rational_lhs(r: int, t: int) -> Fraction:
+    """The left side of the large-parts condition, term by term in
+    Fractions: the reference for the cross-multiplied integer test."""
+    m, a = decompose(r, t)
+    return (
+        Fraction(r, t * (3 * t - 1) * (m - 1))
+        - Fraction(a, t * (m - 1))
+        + Fraction(a - 1, m * t - 2)
+    )
+
+
+def _assert_large_n_matches_rational(n: int, r: int, t: int, lhs: Fraction) -> None:
+    assert transfer_large_n(n, r, t) is (lhs >= Fraction(1, n)), (n, r, t, lhs)
+
+
 def test_transfer_large_n_razor_edges():
-    # the thresholds are exact rational comparisons, no rounding anywhere
+    # the thresholds are exact integer comparisons, no rounding anywhere
     assert transfer_large_n(60, 10, 3)
     assert not transfer_large_n(59, 10, 3)
     assert transfer_large_n(22, 13, 3)
@@ -128,8 +147,47 @@ def test_transfer_large_n_razor_edges():
 def test_transfer_large_n_literal_equality_at_60():
     # at n = 60, r = 10, t = 3 the condition holds with equality: the
     # left side is exactly 1/60
-    lhs = Fraction(10, 3 * 8 * 3) - Fraction(2, 3 * 3) + Fraction(1, 10)
-    assert lhs == Fraction(1, 60)
+    assert _rational_lhs(10, 3) == Fraction(1, 60)
+
+
+@st.composite
+def _large_n_parts(draw):
+    """(r, t) with t in 3..40 and 2 <= a <= min(m, t - 1)."""
+    t = draw(st.integers(3, 40))
+    a = draw(st.integers(2, t - 1))
+    m = draw(st.integers(a, 1000))
+    return m * t - a, t
+
+
+@settings(max_examples=400, deadline=None)
+@given(_large_n_parts(), st.integers(1, 10**6))
+def test_transfer_large_n_matches_the_rational_test(parts, n):
+    r, t = parts
+    lhs = _rational_lhs(r, t)
+    _assert_large_n_matches_rational(n, r, t, lhs)
+    if lhs > 0:
+        # the flip point: the least n with lhs >= 1/n, and the n below it
+        flip = ceil_div(lhs.denominator, lhs.numerator)
+        for edge in (flip - 1, flip):
+            if edge >= 1:
+                _assert_large_n_matches_rational(edge, r, t, lhs)
+
+
+def test_transfer_large_n_holds_with_equality_at_unit_margins():
+    # every (r, t) with t <= 40, m <= 40 whose left side is exactly 1/n
+    units = 0
+    for t in range(3, 41):
+        for a in range(2, t):
+            for m in range(a, 41):
+                r = m * t - a
+                lhs = _rational_lhs(r, t)
+                if lhs.numerator != 1:
+                    continue
+                units += 1
+                n = lhs.denominator
+                assert transfer_large_n(n, r, t), (n, r, t)
+                assert n == 1 or not transfer_large_n(n - 1, r, t), (n, r, t)
+    assert units == 220
 
 
 def test_transfer_large_n_monotone_in_n():
@@ -324,3 +382,20 @@ def test_apex_value_is_the_closed_form():
             for n in (1, 3, 40):
                 expected = (r - 1) * n - (m - 1) * ceil_div((r2 - 1) * n, m * t2 - 2)
                 assert apex_value(n, r, t) == expected, (n, r, t)
+
+
+def test_bounds_json_bytes_are_pinned():
+    """One hash over the sorted-key JSON of ``best_known_bounds`` at 81,585
+    instances: n in 1..59 and {100, 777, 1000, 12345}, t in 2..15 and r in
+    t+1..12t-1. It guards the bound formulas and transfer conditions
+    against any change in what they report."""
+    h = hashlib.sha256()
+    rows = 0
+    for n in [*range(1, 60), 100, 777, 1000, 12345]:
+        for t in range(2, 16):
+            for r in range(t + 1, 12 * t):
+                doc = best_known_bounds(n, r, t).to_json_dict()
+                h.update(json.dumps(doc, sort_keys=True).encode())
+                rows += 1
+    assert rows == 81_585
+    assert h.hexdigest() == "e339c30714e25b82054df89908e053134a1fd6b2ccb960f276d58b9bfa8b9c04"

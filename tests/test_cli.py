@@ -1,5 +1,10 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -618,3 +623,85 @@ def test_verify_output_bytes_are_pinned(tmp_path, capsys):
     calls += 1
     assert calls == 85
     assert h.hexdigest() == "09ee6e541f8c909b96e2b92d7f61ce0ef6db2afdd69279e04592b04a04bc9e19"
+
+
+def _help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_reused_parser_keeps_calls_independent(tmp_path, capsys):
+    path = tmp_path / "g.dimacs"
+    run(
+        capsys, "construct", "--method", "turan", "--n", "1", "--r", "6", "--t", "3",
+        "--format", "dimacs", "--out", str(path),
+    )
+    # an appended --claim list does not carry over to the next call
+    doc = run_json(capsys, "verify", "--in", str(path), "--claim", "kfree=4", "--format", "json")
+    assert [p["claim"] for p in doc["properties"]] == ["kfree"]
+    doc = run_json(
+        capsys, "verify", "--in", str(path), "--claim", "colorable=3", "--format", "json"
+    )
+    assert [p["claim"] for p in doc["properties"]] == ["colorable"]
+
+    # a refusal by argparse leaves nothing behind for the next call
+    argv = ("bounds", "--n", "60", "--r", "10", "--t", "3", "--format", "json")
+    cli._build_parser.cache_clear()
+    first = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--n", "x", "--r", "10", "--t", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv) == first
+
+    # help text is the same on the call that builds the parser and after
+    for command in ((), ("bounds",), ("construct",), ("verify",), ("oracle",), ("table",)):
+        cli._build_parser.cache_clear()
+        first = _help_text(capsys, *command)
+        assert _help_text(capsys, *command) == first
+        assert _help_text(capsys, *command) == first
+
+
+def _count_parsers(monkeypatch, calls: int) -> int:
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(calls):
+            assert main(["bounds", "--n", "1", "--r", "7", "--t", "3"]) == 0
+    return len(built)
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    once = _count_parsers(monkeypatch, 1)
+    assert once == 6  # the top-level parser and one per subcommand
+    assert _count_parsers(monkeypatch, 50) == once
+
+
+def test_importing_the_cli_builds_no_parser():
+    # a parser built at import would add to every process's start-up
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "real_init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    real_init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import mpturan.cli\n"
+        "print(len(built))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
