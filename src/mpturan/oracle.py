@@ -35,7 +35,10 @@ clique. An include must not close a clique of the included pairs; the
 parent had none, so the verifier's clique kernel runs on the included
 rows, among the common neighbors of the included pair. The entry node
 probes in full. The search tree, every value and every witness are
-those of the full probes.
+those of the full probes. Each child does the cheap work first: its
+include or exclude guard, then the lex scan, then the flip of its pair.
+Both tests are pure and the child is entered only when both pass, so
+the order changes no node.
 """
 
 from __future__ import annotations
@@ -177,7 +180,8 @@ def _decide(
     order, each to ``first`` (1 includes, 0 excludes) before the other
     value. The decided prefix, like ``prefix``, holds 1 where a pair took
     its ``first`` value; assignments that ``gens`` prove not lex-maximal
-    in their orbit under that encoding are pruned.
+    in their orbit under that encoding are pruned. Per child, the guard
+    runs before the lex scan, and the pair is flipped only when both pass.
     """
     npairs = len(pairs)
     template = complete_multipartite((n,) * r)
@@ -188,39 +192,25 @@ def _decide(
     comp = list(template.rows)
     wrap = template.with_rows
     parts = template.part_masks
+    masks = [(u, v, 1 << u, 1 << v) for u, v in pairs]
     a: list[int] = []
-
-    def allowed(k: int, val: int) -> bool:
-        u, v = pairs[k]
-        if val:
-            # rows has no clique, so a new one would hold u and v
-            return _clique_in(rows, parts, rows[u] & rows[v], size - 2) is None
-        # comp degrees are the most each vertex can still reach
-        return comp[u].bit_count() > bound and comp[v].bit_count() > bound
-
-    def flip(k: int, val: int) -> None:
-        u, v = pairs[k]
-        side = rows if val else comp
-        side[u] ^= 1 << v
-        side[v] ^= 1 << u
 
     def rec(
         k: int,
-        last: int | None,
         wit: tuple[int, ...] | None,
         scans: list[tuple[tuple[int, ...], int]],
     ) -> list[int] | None:
-        """Search below the node with ``k`` pairs decided, the last of
-        them to ``last``; ``last`` and ``wit`` are None at the entry node.
-        ``scans`` is the node's lex-leader state, and a child is entered
-        only when both its scan and its guard pass.
+        """Search below the node with ``k`` pairs decided. ``scans`` is
+        the node's lex-leader state. A child is entered only when its
+        guard passes and then its scan; only then is its pair flipped.
 
-        ``wit`` is the clique of comp that the nearest probe above found.
-        It stays one unless the last decision excluded a pair with both
-        ends in it, and while it stays one the probe is skipped, since it
-        could only find a clique again.
+        ``wit`` is the clique of comp that the nearest probe above found,
+        or None where a probe is due: at the entry node, and below an
+        exclude that breaks the clique, having both ends in it. While it
+        stays a clique the probe is skipped, since it could only find a
+        clique again.
         """
-        if wit is None or (last == 0 and pairs[k - 1][0] in wit and pairs[k - 1][1] in wit):
+        if wit is None:
             wit = find_clique(wrap(comp), size)
             if wit is None:
                 # include everything still open, which lands the degrees
@@ -228,27 +218,44 @@ def _decide(
                 return comp[:]
         if k == npairs:
             return None
+        u, v, bu, bv = masks[k]
         for val, mark in ((first, 1), (1 - first, 0)):
+            if val:
+                # rows has no clique, so a new one would hold u and v
+                if _clique_in(rows, parts, rows[u] & rows[v], size - 2) is not None:
+                    continue
+                side, child_wit = rows, wit
+            else:
+                # comp degrees are the most each vertex can still reach
+                if comp[u].bit_count() <= bound or comp[v].bit_count() <= bound:
+                    continue
+                side = comp
+                child_wit = None if u in wit and v in wit else wit
             a.append(mark)
             child = _lex_scan(scans, a)
-            found = None
-            if child is not None and allowed(k, val):
-                flip(k, val)
-                found = rec(k + 1, val, wit, child)
-                flip(k, val)
+            if child is not None:
+                side[u] ^= bv
+                side[v] ^= bu
+                found = rec(k + 1, child_wit, child)
+                side[u] ^= bv
+                side[v] ^= bu
+                if found is not None:
+                    return found
             a.pop()
-            if found is not None:
-                return found
         return None
 
-    for k, mark in enumerate(prefix):
+    for (u, v, bu, bv), mark in zip(masks, prefix):
         val = first if mark else 1 - first
-        if not allowed(k, val):
+        if val and _clique_in(rows, parts, rows[u] & rows[v], size - 2) is not None:
             return None
-        flip(k, val)
+        if not val and (comp[u].bit_count() <= bound or comp[v].bit_count() <= bound):
+            return None
+        side = rows if val else comp
+        side[u] ^= bv
+        side[v] ^= bu
         a.append(mark)
     scans = _lex_scan([(pi, 0) for pi in gens], a)
-    return None if scans is None else rec(len(prefix), None, None, scans)
+    return None if scans is None else rec(len(prefix), None, scans)
 
 
 def _search(

@@ -58,6 +58,9 @@ def _clique_in(
     """
     if not k:
         return ()
+    if k == 1:
+        # the part walk's answer: the lowest vertex of the first live part
+        return ((cand & -cand).bit_length() - 1,) if cand else None
     if cand.bit_count() < k:
         return None
     live = [pm for pm in part_masks if cand & pm]

@@ -13,8 +13,9 @@ from mpturan.bounds import (
 )
 from mpturan import oracle
 from mpturan.errors import DomainError, SizeCapError
+from mpturan.graphs import complete_multipartite
 from mpturan.oracle import DEFAULT_CAP, duality_audit, oracle_delta, oracle_f
-from mpturan.verifier import find_clique, find_crossing_independent
+from mpturan.verifier import _clique_in, find_clique, find_crossing_independent
 
 
 def test_oracle_f_frozen_values():
@@ -240,6 +241,36 @@ def test_probe_counts_are_pinned(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_probe_counts_are_pinned_in_shuffled_orders(monkeypatch, seed):
+    """Search probes on f(2,5,3) and delta(2,5,3) in the seeded pair
+    orders, counted with the lex scan still ahead of the guards: the order
+    of work per child must not change which nodes probe."""
+    counts = {"clique": 0, "cover": 0}
+
+    def counted(kind, real):
+        def probe(*args):
+            counts[kind] += 1
+            return real(*args)
+
+        return probe
+
+    monkeypatch.setattr(oracle, "find_clique", counted("clique", oracle.find_clique))
+    monkeypatch.setattr(
+        oracle, "find_crossing_independent",
+        counted("cover", oracle.find_crossing_independent),
+    )
+    seen = {}
+    for run in (oracle_f, oracle_delta):
+        counts.update(clique=0, cover=0)
+        assert run(2, 5, 3, seed=seed).value == 4
+        seen[run.__name__] = (counts["clique"], counts["cover"])
+    assert seen == {
+        1: {"oracle_f": (4651, 0), "oracle_delta": (3484, 0)},
+        2: {"oracle_f": (4839, 0), "oracle_delta": (3763, 0)},
+    }[seed]
+
+
 # sha256 over the lines "<oracle> <n> <r> <s> <value> <witness digest>\n" of
 # oracle_f and oracle_delta on every cap-grid instance, in the order of
 # PLAIN, computed while mode delta still ran its own search: one search
@@ -322,6 +353,86 @@ def test_lex_scan_prunes_where_the_whole_prefix_check_does(shape, seed, choices)
             a.pop()
         else:
             return
+
+
+def _decide_before(n, r, size, bound, first, pairs, prefix, gens):
+    """``oracle._decide`` as it stood before the guards moved ahead of the
+    lex scan and the closures were inlined, kept as the reference the
+    reworked decision loop is checked against."""
+    npairs = len(pairs)
+    template = complete_multipartite((n,) * r)
+    rows = [0] * template.n_vertices
+    comp = list(template.rows)
+    wrap = template.with_rows
+    parts = template.part_masks
+    a = []
+
+    def allowed(k, val):
+        u, v = pairs[k]
+        if val:
+            return _clique_in(rows, parts, rows[u] & rows[v], size - 2) is None
+        return comp[u].bit_count() > bound and comp[v].bit_count() > bound
+
+    def flip(k, val):
+        u, v = pairs[k]
+        side = rows if val else comp
+        side[u] ^= 1 << v
+        side[v] ^= 1 << u
+
+    def rec(k, last, wit, scans):
+        if wit is None or (last == 0 and pairs[k - 1][0] in wit and pairs[k - 1][1] in wit):
+            wit = find_clique(wrap(comp), size)
+            if wit is None:
+                return comp[:]
+        if k == npairs:
+            return None
+        for val, mark in ((first, 1), (1 - first, 0)):
+            a.append(mark)
+            child = oracle._lex_scan(scans, a)
+            found = None
+            if child is not None and allowed(k, val):
+                flip(k, val)
+                found = rec(k + 1, val, wit, child)
+                flip(k, val)
+            a.pop()
+            if found is not None:
+                return found
+        return None
+
+    for k, mark in enumerate(prefix):
+        val = first if mark else 1 - first
+        if not allowed(k, val):
+            return None
+        flip(k, val)
+        a.append(mark)
+    scans = oracle._lex_scan([(pi, 0) for pi in gens], a)
+    return None if scans is None else rec(len(prefix), None, None, scans)
+
+
+def test_decide_matches_the_loop_it_replaced():
+    # every cap-grid instance on at most 7 vertices, every bound up to one
+    # past the largest degree, both branch orders, three pair orders, with
+    # and without the lex-leader generators; in the default order also
+    # from each depth-2 prefix the process pool hands out
+    cases, feasible = 0, 0
+    for n, r, s in PLAIN:
+        if n * r > 7:
+            continue
+        for seed in (None, 1, 2):
+            pairs = oracle._cross_pairs(n, r, seed)
+            prefixes = [()]
+            if seed is None and len(pairs) >= 2:
+                prefixes += [(1, 1), (1, 0), (0, 1), (0, 0)]
+            for gens in ((), oracle._position_perms(n, r, pairs)):
+                for bound in range((r - 1) * n + 2):
+                    for first in (0, 1):
+                        for prefix in prefixes:
+                            args = (n, r, s, bound, first, pairs, prefix, gens)
+                            rows = oracle._decide(*args)
+                            assert rows == _decide_before(*args), args
+                            cases += 1
+                            feasible += rows is not None
+    assert (cases, feasible) == (5560, 2752)
 
 
 def test_open_case_delta_2_7_4():

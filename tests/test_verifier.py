@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 from graph_strategies import multipartite_graphs
@@ -289,3 +290,30 @@ def test_clique_kernel_matches_the_reference_search(g):
         assert find_crossing_independent(g, size) == _reference_find(g, size, True)
     assert _largest(find_clique, g) == _branch_search(g, independent=False)
     assert _largest(find_crossing_independent, g) == _branch_search(g, independent=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multipartite_graphs(max_parts=6, max_part_size=3), st.integers(0, (1 << 18) - 1))
+def test_clique_kernel_small_sizes_match_the_reference_search(g, bits):
+    # the kernel on a candidate set, not the whole graph, at the sizes with
+    # their own base cases (0 and 1) and the first size that walks parts
+    cand = bits & g.full_mask
+    sub = SimpleNamespace(
+        rows=g.rows, part_masks=g.part_masks, n_parts=g.n_parts, full_mask=cand
+    )
+    for k in (0, 1, 2):
+        got = verifier._clique_in(g.rows, g.part_masks, cand, k)
+        assert got == _reference_find(sub, k, False), (cand, k)
+
+
+def test_clique_kernel_one_vertex_is_the_part_walks_first():
+    g = complete_multipartite([2, 3, 2])
+    rows, parts = g.rows, g.part_masks
+    assert [verifier._clique_in(rows, parts, 0, k) for k in (0, 1, 2)] == [(), None, None]
+    # candidates in the last two parts only; 5 and 6 are twins
+    cand = (1 << 6) | (1 << 3) | (1 << 5)
+    assert verifier._clique_in(rows, parts, cand, 1) == (3,)
+    assert verifier._clique_in(rows, parts, cand, 2) == (3, 5)
+    assert verifier._clique_in(rows, parts, cand, 3) is None
+    sub = SimpleNamespace(rows=rows, part_masks=parts, n_parts=g.n_parts, full_mask=cand)
+    assert [_reference_find(sub, k, False) for k in (0, 1, 2)] == [(), (3,), (3, 5)]
