@@ -39,17 +39,25 @@ those of the full probes. Each child does the cheap work first: its
 include or exclude guard, then the lex scan, then the flip of its pair.
 Both tests are pure and the child is entered only when both pass, so
 the order changes no node.
+
+``jobs`` above 1 runs the same search in a process pool, one pool per
+solve. Each binary-search step pins the first two decisions of the
+search to each of their four settings, in the order the serial search
+tries them, and takes the first success. A pinned search walks the
+serial tree below its prefix node for node, so that success is the
+serial result, witness rows included.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalConsistencyError, SizeCapError
 from .graphs import MultipartiteGraph, complete_multipartite
-from .verifier import _clique_in, find_clique, find_crossing_independent
+from .verifier import _clique_in, _with_depth, find_clique, find_crossing_independent
 
 __all__ = [
     "MODE_F",
@@ -65,6 +73,10 @@ MODE_F = "f"
 MODE_DELTA = "delta"
 
 DEFAULT_CAP = 10
+
+# the settings of the first two decisions (1 takes the first value), in
+# the order the serial search tries them; the process pool's tasks
+_PREFIXES = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 
 @dataclass(frozen=True)
@@ -178,10 +190,17 @@ def _decide(
     A graph is feasible when it has no clique on ``size`` vertices and
     minimum degree at least ``bound``. Pairs are decided strictly in list
     order, each to ``first`` (1 includes, 0 excludes) before the other
-    value. The decided prefix, like ``prefix``, holds 1 where a pair took
-    its ``first`` value; assignments that ``gens`` prove not lex-maximal
-    in their orbit under that encoding are pruned. Per child, the guard
-    runs before the lex scan, and the pair is flipped only when both pass.
+    value. The decided prefix holds 1 where a pair took its ``first``
+    value; assignments that ``gens`` prove not lex-maximal in their orbit
+    under that encoding are pruned. Per child, the guard runs before the
+    lex scan, and the pair is flipped only when both pass.
+
+    ``prefix`` pins the first decisions in the same encoding: at depth
+    k < len(prefix) only the value ``prefix[k]`` marks is tried. A pinned
+    search walks exactly the nodes of the unpinned tree below its prefix,
+    probes at the pinned depths included, so the first success over all
+    prefixes of one length, 1 before 0 at each depth, is the unpinned
+    result.
     """
     npairs = len(pairs)
     template = complete_multipartite((n,) * r)
@@ -193,6 +212,8 @@ def _decide(
     wrap = template.with_rows
     parts = template.part_masks
     masks = [(u, v, 1 << u, 1 << v) for u, v in pairs]
+    both = ((first, 1), (1 - first, 0))
+    tries = [(both[1 - mark],) for mark in prefix] + [both] * (npairs - len(prefix))
     a: list[int] = []
 
     def rec(
@@ -219,7 +240,7 @@ def _decide(
         if k == npairs:
             return None
         u, v, bu, bv = masks[k]
-        for val, mark in ((first, 1), (1 - first, 0)):
+        for val, mark in tries[k]:
             if val:
                 # rows has no clique, so a new one would hold u and v
                 if _clique_in(rows, parts, rows[u] & rows[v], size - 2) is not None:
@@ -244,52 +265,9 @@ def _decide(
             a.pop()
         return None
 
-    for (u, v, bu, bv), mark in zip(masks, prefix):
-        val = first if mark else 1 - first
-        if val and _clique_in(rows, parts, rows[u] & rows[v], size - 2) is not None:
-            return None
-        if not val and (comp[u].bit_count() <= bound or comp[v].bit_count() <= bound):
-            return None
-        side = rows if val else comp
-        side[u] ^= bv
-        side[v] ^= bu
-        a.append(mark)
-    scans = _lex_scan([(pi, 0) for pi in gens], a)
-    return None if scans is None else rec(len(prefix), None, scans)
-
-
-def _search(
-    n: int,
-    r: int,
-    size: int,
-    bound: int,
-    first: int,
-    pairs: list[tuple[int, int]],
-    jobs: int | None,
-    gens: tuple[tuple[int, ...], ...],
-) -> list[int] | None:
-    """Run one decision, fanning out over the first two pairs if asked.
-
-    The four depth-2 prefixes (1 where a pair takes ``first``) are
-    submitted in the serial DFS order and the first success in that
-    fixed order wins, so the parallel path is deterministic and agrees
-    with the serial one on the decision.
-    """
-    if jobs is not None and jobs > 1 and len(pairs) >= 2:
-        tasks = [
-            (n, r, size, bound, first, pairs, prefix, gens)
-            for prefix in ((1, 1), (1, 0), (0, 1), (0, 0))
-        ]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(_decide, *t) for t in tasks]
-            for i, fut in enumerate(futures):
-                rows = fut.result()
-                if rows is not None:
-                    for later in futures[i + 1 :]:
-                        later.cancel()
-                    return rows
-        return None
-    return _decide(n, r, size, bound, first, pairs, (), gens)
+    # rec nests one frame per decided pair, and each probe's clique
+    # search up to one per vertex of the forbidden clique
+    return _with_depth(npairs + size, rec, 0, None, [(pi, 0) for pi in gens])
 
 
 def _solve(
@@ -311,7 +289,9 @@ def _solve(
     when min deg H >= (r - 1)n - delta, and the crossing independent sets
     of G are the cliques of H. It returns the cross complement of H's
     witness with value (r - 1)n minus H's. The witness attains the value
-    exactly.
+    exactly. With ``jobs`` above 1, one pool of at most four processes
+    serves every step, each step fanned out over the four depth-2
+    prefixes.
     """
     if n < 1:
         raise DomainError(f"part size must be >= 1, got n={n}")
@@ -332,21 +312,31 @@ def _solve(
     gens = _position_perms(n, r, pairs) if symmetry_reduction else ()
     first = 1 if mode == MODE_F else 0
 
-    def decide(bound: int) -> list[int] | None:
-        return _search(n, r, size, bound, first, pairs, jobs, gens)
+    def decide(pool: ProcessPoolExecutor | None, bound: int) -> list[int] | None:
+        args = (n, r, size, bound, first, pairs)
+        if pool is None:
+            return _decide(*args, (), gens)
+        futures = [pool.submit(_decide, *args, prefix, gens) for prefix in _PREFIXES]
+        for i, fut in enumerate(futures):
+            rows = fut.result()
+            if rows is not None:
+                for later in futures[i + 1 :]:
+                    later.cancel()
+                return rows
+        return None
 
-    lo, high, best = 0, (r - 1) * n, None
-    while lo < high:
-        mid = (lo + high + 1) // 2
-        rows = decide(mid)
-        if rows is None:
-            high = mid - 1
-        else:
-            best, lo = rows, mid
-    if best is None:
-        best = decide(lo)
-    if best is None:
-        raise InternalConsistencyError("decision failed at the trivial target")
+    # the empty graph is feasible at target 0, and target 0 is the answer
+    # only when size is 2, where it is the one feasible graph
+    lo, high, best = 0, (r - 1) * n, [0] * (r * n)
+    workers = min(jobs, len(_PREFIXES)) if jobs is not None and len(pairs) >= 2 else 1
+    with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+        while lo < high:
+            mid = (lo + high + 1) // 2
+            rows = decide(pool, mid)
+            if rows is None:
+                high = mid - 1
+            else:
+                best, lo = rows, mid
     witness = MultipartiteGraph((n,) * r, tuple(best))
     if mode == MODE_F:
         value, kind, degree = lo, "minimum", witness.min_degree()

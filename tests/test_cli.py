@@ -322,6 +322,17 @@ def test_oracle_audit(capsys):
     assert doc["f"] + doc["delta"] == (doc["r"] - 1) * doc["n"]
 
 
+def test_oracle_search_deeper_than_the_recursion_limit(capsys):
+    # 990 cross pairs, one search frame each
+    limit = sys.getrecursionlimit()
+    doc = run_json(
+        capsys, "oracle", "--mode", "f", "--n", "1", "--r", "45", "--t", "44",
+        "--cap", "45", "--format", "json",
+    )
+    assert doc["value"] == 43
+    assert sys.getrecursionlimit() == limit
+
+
 def test_oracle_cap_exit_code(capsys):
     code, _, err = run(capsys, "oracle", "--mode", "f", "--n", "2", "--r", "6", "--t", "3")
     assert code == 3

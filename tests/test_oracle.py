@@ -114,6 +114,19 @@ def test_oracle_variants_agree():
         assert fanned.witness.digest() == serial.witness.digest(), instance
 
 
+def test_one_pool_serves_a_whole_solve(monkeypatch):
+    opened = []
+
+    class CountingPool(oracle.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
+    assert oracle_f(2, 5, 3, jobs=2).value == oracle_f(2, 5, 3).value
+    assert opened == [(2,)]
+
+
 def test_size_cap():
     with pytest.raises(SizeCapError):
         oracle_f(2, 6, 4)
@@ -412,27 +425,33 @@ def _decide_before(n, r, size, bound, first, pairs, prefix, gens):
 def test_decide_matches_the_loop_it_replaced():
     # every cap-grid instance on at most 7 vertices, every bound up to one
     # past the largest degree, both branch orders, three pair orders, with
-    # and without the lex-leader generators; in the default order also
-    # from each depth-2 prefix the process pool hands out
-    cases, feasible = 0, 0
+    # and without the lex-leader generators; the first success over the
+    # depth-2 prefixes the process pool hands out, in its order, is the
+    # unpinned result, rows included, and the pinned searches' own
+    # successes are counted, so that a pin that does nothing fails too
+    cases, feasible, pinned_feasible = 0, 0, 0
     for n, r, s in PLAIN:
         if n * r > 7:
             continue
         for seed in (None, 1, 2):
             pairs = oracle._cross_pairs(n, r, seed)
-            prefixes = [()]
-            if seed is None and len(pairs) >= 2:
-                prefixes += [(1, 1), (1, 0), (0, 1), (0, 0)]
             for gens in ((), oracle._position_perms(n, r, pairs)):
                 for bound in range((r - 1) * n + 2):
                     for first in (0, 1):
-                        for prefix in prefixes:
-                            args = (n, r, s, bound, first, pairs, prefix, gens)
-                            rows = oracle._decide(*args)
-                            assert rows == _decide_before(*args), args
-                            cases += 1
-                            feasible += rows is not None
-    assert (cases, feasible) == (5560, 2752)
+                        args = (n, r, s, bound, first, pairs)
+                        rows = oracle._decide(*args, (), gens)
+                        assert rows == _decide_before(*args, (), gens), args
+                        if len(pairs) >= 2:
+                            pinned = [
+                                oracle._decide(*args, prefix, gens)
+                                for prefix in oracle._PREFIXES
+                            ]
+                            fanned = next((x for x in pinned if x is not None), None)
+                            assert fanned == rows, args
+                            pinned_feasible += sum(x is not None for x in pinned)
+                        cases += 1
+                        feasible += rows is not None
+    assert (cases, feasible, pinned_feasible) == (2424, 1500, 5072)
 
 
 def test_open_case_delta_2_7_4():
