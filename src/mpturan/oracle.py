@@ -40,6 +40,20 @@ include or exclude guard, then the lex scan, then the flip of its pair.
 Both tests are pure and the child is entered only when both pass, so
 the order changes no node.
 
+The binary search starts at a proven ceiling, not at (r - 1)n, and
+tries the ceiling first. With t = size - 1 >= 2, N = rn and slack
+s = (r - 1)n - target, two arguments refute a target. First, above the
+threshold (3t - 4)N/(3t - 1) every feasible graph is t-colorable
+(Andrasfai, Erdos and Sos 1974). Second, a color class meeting k parts
+leaves each of its vertices non-adjacent to the class outside that
+vertex's part, so minimum degree at least the target keeps the class's
+size less its smallest part within s: the class holds at most
+min(kn, floor(ks/(k - 1))) vertices, or n when k = 1. A target above the
+threshold where t classes of that largest size cannot cover N vertices
+is refuted without a search. The argument uses no closed form of
+``bounds``, so the oracle stays an independent check on them. The step
+at the answer still runs the search, so the witnesses are unchanged.
+
 ``jobs`` above 1 runs the same search in a process pool, one pool per
 solve. Each binary-search step pins the first two decisions of the
 search to each of their four settings, in the order the serial search
@@ -175,6 +189,35 @@ def _lex_scan(
     return still_open
 
 
+def _class_bound(n: int, r: int, slack: int) -> int:
+    """Most vertices a color class can hold when no vertex misses more
+    than ``slack`` cross vertices. A class in one part holds at most n.
+    A class meeting k >= 2 parts, x_p vertices in part p, makes its
+    vertices in part p miss sum(x) - x_p of them; the smallest x_p is at
+    most sum(x)/k, so sum(x) * (k - 1)/k <= slack."""
+    return max(n, *(min(k * n, k * slack // (k - 1)) for k in range(2, r + 1)))
+
+
+def _ceiling(n: int, r: int, size: int) -> int:
+    """Largest minimum degree target that coloring arguments leave open.
+
+    A target above (3t - 4)N/(3t - 1), t = size - 1 >= 2 and N = rn, is
+    feasible only with a t-colorable graph (Andrasfai-Erdos-Sos), whose
+    t color classes cover all N vertices, each within ``_class_bound`` of
+    the target's slack. Open targets form a down-set, so the scan stops
+    at the first one.
+    """
+    top, t, total = (r - 1) * n, size - 1, r * n
+    if t < 2:
+        return top
+    while (
+        top * (3 * t - 1) > (3 * t - 4) * total
+        and t * _class_bound(n, r, (r - 1) * n - top) < total
+    ):
+        top -= 1
+    return top
+
+
 def _decide(
     n: int,
     r: int,
@@ -289,9 +332,13 @@ def _solve(
     when min deg H >= (r - 1)n - delta, and the crossing independent sets
     of G are the cliques of H. It returns the cross complement of H's
     witness with value (r - 1)n minus H's. The witness attains the value
-    exactly. With ``jobs`` above 1, one pool of at most four processes
-    serves every step, each step fanned out over the four depth-2
-    prefixes.
+    exactly. The search tries ``_ceiling`` first and never goes above
+    it: there a feasible graph would be t-colorable by the
+    Andrasfai-Erdos-Sos theorem, and its t color classes could not cover
+    all rn vertices, each capped by the slack the target leaves.
+    ``symmetry_reduction=False`` bisects the full range (r - 1)n. With
+    ``jobs`` above 1, one pool of at most four processes serves every
+    step, each step fanned out over the four depth-2 prefixes.
     """
     if n < 1:
         raise DomainError(f"part size must be >= 1, got n={n}")
@@ -326,17 +373,22 @@ def _solve(
         return None
 
     # the empty graph is feasible at target 0, and target 0 is the answer
-    # only when size is 2, where it is the one feasible graph
-    lo, high, best = 0, (r - 1) * n, [0] * (r * n)
+    # only when size is 2, where it is the one feasible graph. The default
+    # search tries its ceiling first, the answer on most instances, and
+    # the reference bisects from the first step. Either way lo is last set
+    # by the step at the answer, so the ceiling changes no witness.
+    high = _ceiling(n, r, size) if symmetry_reduction else (r - 1) * n
+    mid = high if symmetry_reduction else (high + 1) // 2
+    lo, best = 0, [0] * (r * n)
     workers = min(jobs, len(_PREFIXES)) if jobs is not None and len(pairs) >= 2 else 1
     with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         while lo < high:
-            mid = (lo + high + 1) // 2
             rows = decide(pool, mid)
             if rows is None:
                 high = mid - 1
             else:
                 best, lo = rows, mid
+            mid = (lo + high + 1) // 2
     witness = MultipartiteGraph((n,) * r, tuple(best))
     if mode == MODE_F:
         value, kind, degree = lo, "minimum", witness.min_degree()
@@ -360,8 +412,13 @@ def oracle_f(
 ) -> OracleResult:
     """Largest minimum degree of a K_q-free r-partite graph, parts of size n.
 
-    ``symmetry_reduction=False`` runs the unpruned search, kept as the
-    reference the pruned one is tested against.
+    The default search starts at a ceiling, which it tries first. Above
+    the Andrasfai-Erdos-Sos threshold (3t - 4)N/(3t - 1), t = q - 1 and
+    N = rn, a feasible graph is t-colorable. A target whose slack
+    (r - 1)n - target caps every color class below N/t vertices is then
+    refuted without a search. ``symmetry_reduction=False`` runs the
+    unpruned search over the full range (r - 1)n, without the ceiling,
+    kept as the reference the pruned one is tested against.
     """
     return _solve(MODE_F, n, r, q, cap, jobs, symmetry_reduction, seed)
 

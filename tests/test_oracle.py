@@ -216,7 +216,10 @@ def test_seeded_pruned_search_matches_table(seed):
 def test_probe_counts_are_pinned(monkeypatch):
     """Search probes on f(2,5,3) and delta(2,5,3), plain and pruned.
 
-    Counts depend only on the search, not the machine. Before probe
+    Counts depend only on the search, not the machine. Before the pruned
+    search started at its ceiling, trying it first, the pruned search
+    made 467 (f) and 23 (delta); the plain one keeps the full range and
+    its counts. Before probe
     skipping, the plain search made 131,679 clique probes for f and
     401,153 cover probes for delta. Before witness reuse, the anchored
     cover check and the resumable lex scan, it made 74,140 (f) and
@@ -248,9 +251,9 @@ def test_probe_counts_are_pinned(monkeypatch):
             seen[run.__name__, plain] = (counts["clique"], counts["cover"])
     assert seen == {
         ("oracle_f", True): (34113, 0),
-        ("oracle_f", False): (467, 0),
+        ("oracle_f", False): (141, 0),
         ("oracle_delta", True): (32333, 0),
-        ("oracle_delta", False): (23, 0),
+        ("oracle_delta", False): (9, 0),
     }
 
 
@@ -258,7 +261,9 @@ def test_probe_counts_are_pinned(monkeypatch):
 def test_probe_counts_are_pinned_in_shuffled_orders(monkeypatch, seed):
     """Search probes on f(2,5,3) and delta(2,5,3) in the seeded pair
     orders, counted with the lex scan still ahead of the guards: the order
-    of work per child must not change which nodes probe."""
+    of work per child must not change which nodes probe. Before the search
+    started at its ceiling they were (4,651, 3,484) under seed 1 and
+    (4,839, 3,763) under seed 2, for (f, delta)."""
     counts = {"clique": 0, "cover": 0}
 
     def counted(kind, real):
@@ -279,8 +284,8 @@ def test_probe_counts_are_pinned_in_shuffled_orders(monkeypatch, seed):
         assert run(2, 5, 3, seed=seed).value == 4
         seen[run.__name__] = (counts["clique"], counts["cover"])
     assert seen == {
-        1: {"oracle_f": (4651, 0), "oracle_delta": (3484, 0)},
-        2: {"oracle_f": (4839, 0), "oracle_delta": (3763, 0)},
+        1: {"oracle_f": (481, 0), "oracle_delta": (1165, 0)},
+        2: {"oracle_f": (537, 0), "oracle_delta": (210, 0)},
     }[seed]
 
 
@@ -454,10 +459,99 @@ def test_decide_matches_the_loop_it_replaced():
     assert (cases, feasible, pinned_feasible) == (2424, 1500, 5072)
 
 
-def test_open_case_delta_2_7_4():
-    # the dual of f(2, 7, 3), which bounds place in [8, 9]; with
-    # oracle_f(2, 7, 4, cap=14) = 8 the duality audit certifies f = 8
-    assert oracle_delta(2, 7, 4, cap=14).value == 4
+def test_open_case_audit_2_7_4():
+    # f(2, 7, 3), which the bounds place in [8, 9]: the ceiling refutes 9
+    # (above the threshold 35/4, each of 3 color classes holds at most 4
+    # of the 14 vertices), and the duality audit certifies f = 8, delta = 4
+    assert oracle._ceiling(2, 7, 4) == 8
+    assert duality_audit(2, 7, 4, cap=14) == {"n": 2, "r": 7, "size": 4, "f": 8, "delta": 4}
+
+
+def test_no_target_above_the_ceiling_is_feasible():
+    # every cap-grid instance, default pair order, both branch orders:
+    # the search refutes each target the ceiling skips, with the
+    # lex-leader generators everywhere and without them up to 8 vertices
+    refuted, sharp = 0, 0
+    for (n, r, s), (f, _) in PLAIN.items():
+        top = oracle._ceiling(n, r, s)
+        assert f <= top <= (r - 1) * n, (n, r, s)
+        sharp += top == f
+        pairs = oracle._cross_pairs(n, r, None)
+        gens = oracle._position_perms(n, r, pairs)
+        for gens in ((gens, ()) if n * r <= 8 else (gens,)):
+            for bound in range(top + 1, (r - 1) * n + 1):
+                for first in (0, 1):
+                    assert oracle._decide(n, r, s, bound, first, pairs, (), gens) is None
+                    refuted += 1
+    assert (refuted, sharp) == (208, 58)
+
+
+def test_ceiling_is_never_below_a_construction_or_the_threshold():
+    for t in range(2, 9):
+        for r in range(t + 1, 4 * t + 1):
+            for n in range(1, 31):
+                top, total = oracle._ceiling(n, r, t + 1), r * n
+                assert top >= best_known_bounds(n, r, t).best_lower, (n, r, t)
+                assert top >= min((r - 1) * n, (3 * t - 4) * total // (3 * t - 1)), (n, r, t)
+
+
+def _compositions(n, t):
+    """The rows of a profile: the ways to split n vertices over t colors."""
+    if t == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in _compositions(n - first, t - 1):
+            yield (first,) + rest
+
+
+def _exact_d(n, r, t):
+    """Largest minimum degree of a t-colorable r-partite graph, parts of
+    size n, and a profile attaining it, by branch and bound over profiles.
+
+    A profile takes r rows, as a multiset, each giving how many vertices of
+    one part get each color. Its overlay joins the pairs that differ in
+    both part and color, so a vertex of part p and color c misses the
+    column sum of c less the cell (p, c). Adding a row only raises those
+    misses, so a partial profile at or below the best degree is cut.
+    """
+    rows = list(_compositions(n, t))
+    best = [-1, None]
+
+    def degree(profile):
+        cols = [sum(col) for col in zip(*profile)]
+        miss = max(cols[c] - row[c] for row in profile for c in range(t) if row[c])
+        return (r - 1) * n - miss
+
+    def rec(start, profile):
+        if profile and degree(profile) <= best[0]:
+            return
+        if len(profile) == r:
+            best[:] = [degree(profile), tuple(profile)]
+            return
+        for i in range(start, len(rows)):
+            profile.append(rows[i])
+            rec(i, profile)
+            profile.pop()
+
+    rec(0, [])
+    return best
+
+
+def test_class_bound_holds_on_the_optimal_profiles():
+    # d(n, r, t) by enumerating profiles: the largest color class of an
+    # optimal profile fits the class bound at its slack, so t such classes
+    # cover all rn vertices and the ceiling never cuts d
+    checked = 0
+    for n in (1, 2, 3):
+        for t in (2, 3, 4):
+            for r in range(2, 9):
+                d, profile = _exact_d(n, r, t)
+                bound = oracle._class_bound(n, r, (r - 1) * n - d)
+                assert max(map(sum, zip(*profile))) <= bound, (n, r, t)
+                assert t * bound >= r * n and oracle._ceiling(n, r, t + 1) >= d, (n, r, t)
+                checked += 1
+    assert checked == 63
 
 
 def test_cap_grid_values_lie_in_the_bound_envelope():
