@@ -203,21 +203,20 @@ def from_dimacs(text: str) -> MultipartiteGraph:
     runs of twins that ``to_dimacs`` writes. The text is read in blocks
     that end where the writer would start the next vertex's run. A block
     that is exactly one run, one match of ``_RUN`` under a head h, becomes
-    a template. Where the text then continues with that run's text under
-    the head h + 1, those lines are counted but not parsed: they are the
-    template's edges with the new head, and ``from_edges`` receives them
-    as one group.
+    a template, kept as the run's text split on its line prefix ``e h ``.
+    Where the text then continues with those pieces joined by ``e h+1 ``,
+    those lines are counted but not parsed: they are the template's edges
+    with the new head, and ``from_edges`` receives them as one group.
     """
     lines = _LineParser()
     groups: list[tuple[list[int], array]] = []
     pos, end_of_text = 0, len(text)
     head = 0  # 1-based head of the last edge line or shortcut run
-    template: tuple[re.Match, list[int], array] | None = None
+    template: tuple[list[str], list[int], array] | None = None
     while pos < end_of_text:
         if template is not None:
-            run, heads, neighbors = template
-            # ``e h `` opens each line of a matched run and occurs nowhere else in it
-            candidate = run[0].replace(f"e {run[1]} ", f"e {head + 1} ")
+            pieces, heads, neighbors = template
+            candidate = f"e {head + 1} ".join(pieces)
             if text.startswith(candidate, pos):
                 if not heads:
                     groups.append((heads, neighbors))
@@ -240,7 +239,9 @@ def from_dimacs(text: str) -> MultipartiteGraph:
             head = lines.us[-1] + 1
         pos, template = end, None
         if run and run.end() == end:
-            template = (run, [], lines.vs[first_edge:])
+            # ``e h `` opens each line of a matched run and occurs nowhere
+            # else in it, so the run is its pieces joined by that prefix
+            template = (run[0].split(f"e {run[1]} "), [], lines.vs[first_edge:])
     if lines.part_sizes is None:
         raise GraphStructureError(
             "missing 'c part-sizes' comment; the partition cannot be recovered"

@@ -205,11 +205,12 @@ def _ceiling(n: int, r: int, size: int) -> int:
     feasible only with a t-colorable graph (Andrasfai-Erdos-Sos), whose
     t color classes cover all N vertices, each within ``_class_bound`` of
     the target's slack. Open targets form a down-set, so the scan stops
-    at the first one.
+    at the first one. With size 2 only the edgeless graph is feasible, so
+    the ceiling is 0.
     """
     top, t, total = (r - 1) * n, size - 1, r * n
     if t < 2:
-        return top
+        return 0
     while (
         top * (3 * t - 1) > (3 * t - 4) * total
         and t * _class_bound(n, r, (r - 1) * n - top) < total
@@ -376,7 +377,8 @@ def _solve(
     # only when size is 2, where it is the one feasible graph. The default
     # search tries its ceiling first, the answer on most instances, and
     # the reference bisects from the first step. Either way lo is last set
-    # by the step at the answer, so the ceiling changes no witness.
+    # by the step at the answer, so the ceiling changes no witness; at
+    # size 2 the ceiling is 0, no step runs and the empty graph stands.
     high = _ceiling(n, r, size) if symmetry_reduction else (r - 1) * n
     mid = high if symmetry_reduction else (high + 1) // 2
     lo, best = 0, [0] * (r * n)

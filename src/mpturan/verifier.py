@@ -3,12 +3,17 @@
 One clique kernel serves every search. It walks the parts that still
 hold candidates in ascending order, carrying the candidate set as a
 bitmask and pruning with the number of such parts. Vertices of a part
-with identical adjacency rows are interchangeable, so only one
-representative per distinct row is branched on; the structured graphs
-this package builds collapse dramatically under that reduction. A
-crossing independent set (at most one vertex per part) is a clique of
-the cross complement, so that search is the same kernel on the
-complemented rows. The oracle calls the kernel on its raw row lists.
+with identical adjacency rows (twins) are never adjacent and share every
+neighbor, so a search below one of them repeats the search below its
+twin. The clique and crossing independent searches therefore run on twin
+representatives, as coloring runs on the twin quotient: their candidates
+start as the lowest vertex of each class of twins in a part, so a blow-up
+is searched on a few vertices per part instead of all of them, with the
+witnesses of the search over every vertex. A crossing independent set
+(at most one vertex per part) is a clique of the cross complement, so
+that search is the same kernel on the complemented rows, which keep the
+classes of twins within each part. The oracle calls the kernel on its
+raw row lists.
 
 Coloring search is exact backtracking in saturation order with forward
 checking, so a None answer really means no coloring exists. It runs on the
@@ -51,34 +56,43 @@ def _clique_in(
     """The first clique on k vertices of ``cand``, or None.
 
     The search walks the parts that still hold candidates in ascending
-    order. In each it branches on one representative per distinct row,
-    then moves past the part; it stops once fewer live parts remain than
+    order. In each it branches on every candidate, lowest first, then
+    moves past the part; it stops once fewer live parts remain than
     vertices are missing. A clique never holds two vertices of one part,
-    so the recursion is one frame per clique vertex.
+    so the recursion is one frame per clique vertex. A twin of a vertex
+    already tried fails as that vertex did, so a ``cand`` with one vertex
+    per class of twins gives the same answer from less search.
     """
     if not k:
         return ()
     if k == 1:
         # the part walk's answer: the lowest vertex of the first live part
         return ((cand & -cand).bit_length() - 1,) if cand else None
+    if k == 2:
+        # the part walk's answer: the lowest vertex with a neighbor in
+        # cand, all of them in later parts, and its lowest such neighbor
+        m = cand
+        while m:
+            b = m & -m
+            nb = rows[b.bit_length() - 1] & cand
+            if nb:
+                return b.bit_length() - 1, (nb & -nb).bit_length() - 1
+            m ^= b
+        return None
     if cand.bit_count() < k:
         return None
     live = [pm for pm in part_masks if cand & pm]
     for i, pm in enumerate(live):
         if len(live) - i < k:
             return None
-        seen = set()
         m = cand & pm
         while m:
             b = m & -m
             v = b.bit_length() - 1
             m ^= b
-            row = rows[v]
-            if row not in seen:
-                seen.add(row)
-                rest = _clique_in(rows, part_masks, cand & row, k - 1)
-                if rest is not None:
-                    return (v, *rest)
+            rest = _clique_in(rows, part_masks, cand & rows[v], k - 1)
+            if rest is not None:
+                return (v, *rest)
         cand &= ~pm
     return None
 
@@ -98,15 +112,37 @@ def _with_depth(depth: int, fn, *args):
         sys.setrecursionlimit(limit)
 
 
-def _first(g: MultipartiteGraph, k: int) -> tuple[int, ...] | None:
-    return _with_depth(min(k, g.n_parts), _clique_in, g.rows, g.part_masks, g.full_mask, k)
+def _twin_representatives(g: MultipartiteGraph) -> int:
+    """Mask of the lowest vertex of each class of twins within a part.
+
+    Twins are never adjacent and have the same neighbors, so a candidate
+    set of the search from all vertices holds a whole class or none of
+    it, and the search below a later twin repeats the failed search below
+    the lowest. Leaving the later twins out therefore tries the other
+    vertices in the same order and returns the same witness. Where every
+    part is one vertex, each is its own class and the scan is skipped.
+    """
+    n = g.n_vertices
+    if g.n_parts == n:
+        return g.full_mask
+    # the dict keeps the last vertex given for a key: walk down from the top
+    lowest = dict(zip(zip(g.rows[::-1], g.part_of[::-1]), range(n - 1, -1, -1)))
+    return sum(map((1).__lshift__, lowest.values()))
+
+
+def _first(g: MultipartiteGraph, rows: Sequence[int], k: int) -> tuple[int, ...] | None:
+    """The kernel's first clique on k vertices of ``rows``, the rows of
+    ``g`` or of its cross complement, which has the same twin classes."""
+    return _with_depth(
+        min(k, g.n_parts), _clique_in, rows, g.part_masks, _twin_representatives(g), k
+    )
 
 
 def find_clique(g: MultipartiteGraph, size: int) -> tuple[int, ...] | None:
     """A clique on ``size`` vertices, or None after exhausting the search."""
     if size < 1:
         raise DomainError(f"clique size must be >= 1, got {size}")
-    return _first(g, size)
+    return _first(g, g.rows, size)
 
 
 def find_crossing_independent(
@@ -115,7 +151,7 @@ def find_crossing_independent(
     """A crossing independent set of ``size`` vertices, or None."""
     if size < 1:
         raise DomainError(f"set size must be >= 1, got {size}")
-    return _first(g.cross_complement(), size)
+    return _first(g, g.cross_complement().rows, size)
 
 
 def find_coloring(g: MultipartiteGraph, t: int) -> ColorPartition | None:
@@ -317,7 +353,8 @@ def _check_claim_kinds(claims: Sequence[tuple[str, int]]) -> None:
 def certify(g: MultipartiteGraph, claims: Sequence[tuple[str, int]]) -> Certificate:
     """Check each (kind, value) claim exactly; return verdicts and witnesses.
 
-    Every claim is decided by search on ``g``, a coloring claim by
+    Every claim is decided by search on ``g``: a clique or crossing
+    independent claim on twin representatives, a coloring claim by
     ``find_coloring`` on the twin quotient. An unknown kind is refused
     before the first search.
     """

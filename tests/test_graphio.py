@@ -346,6 +346,16 @@ def test_write_text_to_a_device():
     write_text(os.devnull, "discarded\n")
 
 
+def _twins_text(count, edits=()):
+    """Vertices 1 to ``count`` are twins of part 0, each joined to the two
+    vertices of part 1. Each (vertex, text) in ``edits`` replaces that
+    vertex's run. With ``count`` past 9 or 99 the run of the next vertex
+    has a head one digit longer than its template's."""
+    runs = {u: f"e {u} {count + 1}\ne {u} {count + 2}" for u in range(1, count + 1)}
+    runs.update(edits)
+    return f"c part-sizes {count} 2\n" + "\n".join(runs.values()) + "\n"
+
+
 def _short_head_text():
     """Vertices 1 to 12 are twins joined to 13 and 14, with a stray
     ``e 1 13`` before vertex 10's run and vertex 11 also joined to 3.
@@ -382,10 +392,32 @@ def _short_head_text():
         _short_head_text(),
         # a run that repeats the previous one under a head that is not next
         twin_text([(9, "e 1 5"), (10, "e 1 6"), (11, "e 1 7")]),
+        # twins across the digit boundaries 9 -> 10 and 99 -> 100
+        pytest.param(_twins_text(12), id="twins-1-12"),
+        pytest.param(_twins_text(101), id="twins-1-101"),
+        # the first longer head's run diverges, or keeps the old head
+        pytest.param(_twins_text(12, {10: "e 10 13"}), id="twins-1-12-short-10"),
+        pytest.param(
+            _twins_text(101, {100: "e 100 102\ne 100 103\ne 100 1"}),
+            id="twins-1-101-long-100",
+        ),
+        pytest.param(_twins_text(12, {10: "e 9 13\ne 9 14"}), id="twins-1-12-head-9-at-10"),
+        pytest.param(
+            _twins_text(101, {100: "e 10 102\ne 10 103"}), id="twins-1-101-head-10-at-100"
+        ),
     ],
 )
 def test_twin_runs_read_like_the_reference(text):
     assert read_outcome(from_dimacs, text) == read_outcome(reference_parse, text)
+
+
+def test_twin_runs_cross_digit_boundaries_unparsed(monkeypatch):
+    # the first run shares its block with the header; the second is the
+    # template, which every later run repeats, the longer heads included
+    blocks = _record_parsed_blocks(monkeypatch)
+    g = from_dimacs(_twins_text(101))
+    assert g == complete_multipartite([101, 2])
+    assert _line_count(blocks) == 1 + 2 + 2
 
 
 @pytest.mark.parametrize("construction", CERTIFY_GRAPHS, ids=lambda c: "{}{}".format(*c[:1], c[1:]))

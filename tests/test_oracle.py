@@ -470,7 +470,9 @@ def test_open_case_audit_2_7_4():
 def test_no_target_above_the_ceiling_is_feasible():
     # every cap-grid instance, default pair order, both branch orders:
     # the search refutes each target the ceiling skips, with the
-    # lex-leader generators everywhere and without them up to 8 vertices
+    # lex-leader generators everywhere and without them up to 8 vertices.
+    # The size-2 instances have ceiling 0 and skip every target above it;
+    # before, their ceiling was (r - 1)n and the pin read (208, 58).
     refuted, sharp = 0, 0
     for (n, r, s), (f, _) in PLAIN.items():
         top = oracle._ceiling(n, r, s)
@@ -483,7 +485,7 @@ def test_no_target_above_the_ceiling_is_feasible():
                 for first in (0, 1):
                     assert oracle._decide(n, r, s, bound, first, pairs, (), gens) is None
                     refuted += 1
-    assert (refuted, sharp) == (208, 58)
+    assert (refuted, sharp) == (468, 75)
 
 
 def test_ceiling_is_never_below_a_construction_or_the_threshold():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpturan import verifier
+from mpturan.cli import _composition_from_defaults
 from mpturan.constructions import (
     apex_blowup,
     block_composition,
@@ -296,12 +297,12 @@ def test_clique_kernel_matches_the_reference_search(g):
 @given(multipartite_graphs(max_parts=6, max_part_size=3), st.integers(0, (1 << 18) - 1))
 def test_clique_kernel_small_sizes_match_the_reference_search(g, bits):
     # the kernel on a candidate set, not the whole graph, at the sizes with
-    # their own base cases (0 and 1) and the first size that walks parts
+    # their own base cases (0, 1 and 2) and the first size that walks parts
     cand = bits & g.full_mask
     sub = SimpleNamespace(
         rows=g.rows, part_masks=g.part_masks, n_parts=g.n_parts, full_mask=cand
     )
-    for k in (0, 1, 2):
+    for k in (0, 1, 2, 3):
         got = verifier._clique_in(g.rows, g.part_masks, cand, k)
         assert got == _reference_find(sub, k, False), (cand, k)
 
@@ -317,3 +318,53 @@ def test_clique_kernel_one_vertex_is_the_part_walks_first():
     assert verifier._clique_in(rows, parts, cand, 3) is None
     sub = SimpleNamespace(rows=rows, part_masks=parts, n_parts=g.n_parts, full_mask=cand)
     assert [_reference_find(sub, k, False) for k in (0, 1, 2)] == [(), (3,), (3, 5)]
+
+
+def _twin_rich_builds():
+    """Every turan, sliced, apex and two-block composition build with
+    n <= 3, t <= 4 and r <= 3t that applies: blow-ups whose parts split
+    into classes of twins."""
+    builders = {
+        "turan": turan_blowup,
+        "sliced": sliced_blowup,
+        "apex": apex_blowup,
+        "composition": lambda n, r, t: _composition_from_defaults(n, r, t, 2),
+    }
+    for method, build in builders.items():
+        for t in range(2, 5):
+            for r in range(2, 3 * t + 1):
+                for n in range(1, 4):
+                    try:
+                        yield (method, n, r, t), build(n, r, t).graph
+                    except DomainError:
+                        pass
+
+
+def test_twin_representatives_give_the_full_search_witnesses():
+    # the public searches start from one vertex per class of twins; the
+    # kernel from every vertex must return the same witness at every size
+    seen = set()
+    for key, g in _twin_rich_builds():
+        seen.add(key[0])
+        comp = g.cross_complement()
+        for k in range(1, key[3] + 3):
+            assert find_clique(g, k) == verifier._clique_in(
+                g.rows, g.part_masks, g.full_mask, k
+            ), (key, k)
+            assert find_crossing_independent(g, k) == verifier._clique_in(
+                comp.rows, comp.part_masks, comp.full_mask, k
+            ), (key, k)
+    assert seen == {"turan", "sliced", "apex", "composition"}
+
+
+def test_twin_representatives_are_the_lowest_of_each_class():
+    g = sliced_blowup(3, 7, 3).graph
+    lowest = {}
+    for v, key in enumerate(zip(g.part_of, g.rows)):
+        lowest.setdefault(key, v)
+    mask = verifier._twin_representatives(g)
+    assert mask == sum(1 << v for v in lowest.values())
+    assert mask != g.full_mask
+    # the cross complement keeps the classes within each part
+    assert verifier._twin_representatives(g.cross_complement()) == mask
+    assert verifier._twin_representatives(complete_multipartite([1] * 4)) == 0b1111
