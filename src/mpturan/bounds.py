@@ -13,9 +13,10 @@ returns a rational (``turan_sandwich``, ``aes_threshold``) or takes one
 The residue decomposition r = m*t - a with m = ceil(r/t) and
 0 <= a <= t - 1 organizes the case analysis and recurs in most signatures.
 Every bound family is one entry of ``_FAMILIES``: its guard on (t, m, a),
-its value formula and, for an upper bound on d only, the transfer
-condition under which it bounds f. ``best_known_bounds`` and the public
-value functions all read that table.
+its value formula, for an upper bound on d only the transfer condition
+under which it bounds f, and for a t-chromatic construction its profile,
+the r x t matrix counting the vertices of each part in each color.
+``best_known_bounds``, the value functions and the builders all read it.
 """
 
 from __future__ import annotations
@@ -104,6 +105,33 @@ def _apex(n: int, r: int, t: int, m: int, a: int) -> int:
     return _sliced(n, r2, t2, m, m) + (r - r2) * n
 
 
+def _row(t: int, c: int, x: int, rest: int = 0) -> tuple[int, ...]:
+    # a profile row: x vertices of color c, ``rest`` of color t - 1
+    return tuple(x if i == c else rest if i == t - 1 else 0 for i in range(t))
+
+
+def _balanced_profile(n: int, r: int, t: int, m: int, a: int) -> tuple[tuple[int, ...], ...]:
+    # colors are unions of whole parts: t - a colors of m parts, a of m - 1
+    widths = [m] * (t - a) + [m - 1] * a
+    return tuple(_row(t, c, n) for c, width in enumerate(widths) for _ in range(width))
+
+
+def _sliced_profile(n: int, r: int, t: int, m: int, a: int) -> tuple[tuple[int, ...], ...]:
+    # color c < t - 1 takes a slice of each part in block c (parts c*m ..
+    # (c+1)*m - 1); color t - 1 takes the rest
+    size = _slice_size(n, r, t, m)
+    sliced = tuple(_row(t, p // m, size, n - size) for p in range((t - 1) * m))
+    return sliced + (_row(t, t - 1, n),) * (r - (t - 1) * m)
+
+
+def _apex_profile(n: int, r: int, t: int, m: int, a: int) -> tuple[tuple[int, ...], ...]:
+    # the sliced core on r' parts and t' colors, then each of the a - m
+    # apex colors on m - 1 parts of its own
+    r2, t2 = _apex_core(t, m, a)
+    core = tuple(row + (0,) * (t - t2) for row in _sliced_profile(n, r2, t2, m, m))
+    return core + tuple(_row(t, c, n) for c in range(t2, t) for _ in range(m - 1))
+
+
 def _chromatic(n: int, r: int, t: int, m: int, a: int) -> int:
     return (r - 1) * n - ceil_div((m - 1) * (r - 1) * n, m * t - 2)
 
@@ -182,9 +210,10 @@ class _Family:
     """One bound family.
 
     ``role`` is "lower", "upper" or "exact" (both at once). ``guard`` takes
-    (t, m, a) and ``value`` and ``transfer`` take (n, r, t, m, a). A family
-    with a ``transfer`` bounds d(n, r, t) and counts for f only where the
-    transfer condition holds.
+    (t, m, a), the others (n, r, t, m, a). A family with a ``transfer``
+    bounds d(n, r, t) and counts for f only where the transfer condition
+    holds. A ``profile`` has entry (p, c) the number of vertices of part p
+    with color c; the graph it fixes joins the pairs that differ in both.
     """
 
     name: str
@@ -192,6 +221,7 @@ class _Family:
     guard: Callable[[int, int, int], bool]
     value: Callable[[int, int, int, int, int], int]
     transfer: Callable[[int, int, int, int, int], bool] | None = None
+    profile: Callable[[int, int, int, int, int], tuple[tuple[int, ...], ...]] | None = None
 
 
 def _always(t: int, m: int, a: int) -> bool:
@@ -206,10 +236,15 @@ _FAMILIES: tuple[_Family, ...] = (
         "transversal", "exact", lambda t, m, a: t > 2 and m == 2 and a == t - 1,
         lambda n, r, t, m, a: transversal_clique_value(n, r),
     ),
-    _Family("balanced-blowup", "lower", _always, _balanced),
+    _Family("balanced-blowup", "lower", _always, _balanced, profile=_balanced_profile),
     _Family("edge-count", "upper", _always, _edge_count),
-    _Family("sliced-blowup", "lower", lambda t, m, a: 1 <= a <= m, _sliced),
-    _Family("apex-blowup", "lower", lambda t, m, a: 2 <= m < a, _apex),
+    _Family(
+        "sliced-blowup", "lower", lambda t, m, a: 1 <= a <= m, _sliced,
+        profile=_sliced_profile,
+    ),
+    _Family(
+        "apex-blowup", "lower", lambda t, m, a: 2 <= m < a, _apex, profile=_apex_profile,
+    ),
     _Family("chromatic-transfer", "upper", lambda t, m, a: a >= 1, _chromatic, _transfers),
 )
 _BY_NAME = {family.name: family for family in _FAMILIES}
@@ -241,14 +276,16 @@ def exact_value_cases(n: int, r: int, t: int) -> int | None:
     answer, else None.
 
     It is the answer for every instance with t = 2, for divisible r
-    (t | r), and for r = -1 (mod t) with t >= 3. None does not mean that no
+    (t | r), and for r = -1 (mod t) with t >= 3: the guards of the exact
+    families whose value is the balanced one. None does not mean that no
     closed form pins the value: the ``transversal`` family settles
     r = t + 1, so (3, 4, 3) gives None here while ``best_known_bounds``
     reports it exact at 7.
     """
     _check_instance(n, r, t)
     m, a = decompose(r, t)
-    return _balanced(n, r, t, m, a) if t == 2 or a <= 1 else None
+    settled = [f for f in _FAMILIES if f.value is _balanced and f.role == "exact"]
+    return _balanced(n, r, t, m, a) if any(f.guard(t, m, a) for f in settled) else None
 
 
 def sliced_value(n: int, r: int, t: int) -> int:

@@ -1,16 +1,11 @@
 """Deterministic builders for the extremal graphs behind the lower bounds.
 
-Three of the four constructions share one shape: fix a color partition of
-the vertex set of the complete multipartite graph K_r(n) and keep exactly
-the pairs that cross both the part structure and the color structure. The
-color partition is what varies:
-
-* balanced blow-up: colors are unions of whole parts, as equal as possible;
-* sliced blow-up: the first t - 1 colors each take a fixed slice of every
-  part in their block of m consecutive parts, the last color takes what
-  remains;
-* apex blow-up: a sliced blow-up on fewer parts joined to extra colors
-  that are complete to everything outside themselves.
+Three of the four constructions share one shape: fix a profile, an r x t
+matrix whose entry (p, c) counts the vertices of part p that get color c,
+lay out each part's colors in ascending order, and keep exactly the pairs
+of K_r(n) that differ in both part and color. Only the profile differs
+between the balanced, sliced and apex blow-ups, and each builder reads it
+from its bound family in ``bounds._FAMILIES``.
 
 The block composition is different in kind: it targets the complementary
 quantity (small maximum degree, no crossing independent set) and stitches
@@ -27,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import (
-    _apex_core,
+    _BY_NAME,
     _composition_slice,
-    _slice_size,
     apex_value,
     ceil_div,
     composition_bound,
@@ -66,43 +60,30 @@ class ConstructionOutput:
     source: str
 
 
-def _overlay_graph(
-    part_sizes: list[int], colors: list[int], num_colors: int
-) -> tuple[MultipartiteGraph, ColorPartition]:
-    """Graph with an edge exactly where both part and color differ."""
-    skeleton = empty_graph(part_sizes)
-    coloring = ColorPartition(tuple(colors), num_colors)
-    class_masks = coloring.class_masks()
-    rows = [
-        skeleton.full_mask
-        & ~skeleton.part_masks[skeleton.part_of[v]]
-        & ~class_masks[colors[v]]
-        for v in range(skeleton.n_vertices)
-    ]
-    return skeleton.with_rows(rows), coloring
-
-
-def _checked(
-    graph: MultipartiteGraph,
-    coloring: ColorPartition | None,
-    expected_min_degree: int,
-    source: str,
+def _overlay(
+    profile: tuple[tuple[int, ...], ...], expected_min_degree: int, source: str
 ) -> ConstructionOutput:
+    """The overlay graph of a profile with its witness coloring, refused
+    unless its minimum degree is ``expected_min_degree``."""
+    skeleton = empty_graph([sum(row) for row in profile])
+    colors = tuple(c for row in profile for c, size in enumerate(row) for _ in range(size))
+    coloring = ColorPartition(colors, len(profile[0]))
+    class_masks = coloring.class_masks()
+    rows: list[int] = []
+    for part_mask, row in zip(skeleton.part_masks, profile):
+        for c, size in enumerate(row):
+            if size:
+                rows += [skeleton.full_mask & ~part_mask & ~class_masks[c]] * size
+    graph = skeleton.with_rows(rows)
     measured = graph.min_degree()
     if measured != expected_min_degree:
         raise InternalConsistencyError(
             f"{source}: built graph has minimum degree {measured}, "
             f"formula says {expected_min_degree}"
         )
-    if coloring is not None and not coloring.is_proper(graph):
+    if not coloring.is_proper(graph):
         raise InternalConsistencyError(f"{source}: witness coloring is not proper")
-    return ConstructionOutput(
-        graph=graph,
-        coloring=coloring,
-        claimed_min_degree=expected_min_degree,
-        claimed_max_degree=None,
-        source=source,
-    )
+    return ConstructionOutput(graph, coloring, expected_min_degree, None, source)
 
 
 def turan_blowup(n: int, r: int, t: int) -> ConstructionOutput:
@@ -116,13 +97,10 @@ def turan_blowup(n: int, r: int, t: int) -> ConstructionOutput:
         raise DomainError(f"part size n must be >= 1, got {n}")
     if not 2 <= t <= r:
         raise DomainError(f"need 2 <= t <= r, got t={t}, r={r}")
-    base, extra = divmod(r, t)
-    part_color: list[int] = []
-    for c in range(t):
-        part_color.extend([c] * (base + 1 if c < extra else base))
-    colors = [part_color[p] for p in range(r) for _ in range(n)]
-    graph, coloring = _overlay_graph([n] * r, colors, t)
-    return _checked(graph, coloring, (r - ceil_div(r, t)) * n, "turan-blowup")
+    m = ceil_div(r, t)
+    args = (n, r, t, m, m * t - r)  # as ``decompose`` would give, but r = t is allowed
+    balanced = _BY_NAME["balanced-blowup"]
+    return _overlay(balanced.profile(*args), balanced.value(*args), "turan-blowup")
 
 
 def sliced_blowup(n: int, r: int, t: int) -> ConstructionOutput:
@@ -139,22 +117,7 @@ def sliced_blowup(n: int, r: int, t: int) -> ConstructionOutput:
     m, a = decompose(r, t)
     if a == 1:
         return turan_blowup(n, r, t)
-    graph, coloring = _overlay_graph([n] * r, _sliced_colors(n, r, t, m), t)
-    return _checked(graph, coloring, value, "sliced-blowup")
-
-
-def _sliced_colors(n: int, r: int, t: int, m: int) -> list[int]:
-    """The sliced blow-up's color of each vertex, r parts of size n.
-
-    Color i < t - 1 takes the first l = ceil((r - 1) * n / (m * t - 2))
-    vertices of each part in block i (parts i*m .. (i+1)*m - 1); color
-    t - 1 takes the rest.
-    """
-    slice_size = _slice_size(n, r, t, m)
-    colors = [t - 1] * (r * n)
-    for p in range((t - 1) * m):
-        colors[p * n:p * n + slice_size] = [p // m] * slice_size
-    return colors
+    return _overlay(_BY_NAME["sliced-blowup"].profile(n, r, t, m, a), value, "sliced-blowup")
 
 
 def apex_blowup(n: int, r: int, t: int) -> ConstructionOutput:
@@ -168,12 +131,7 @@ def apex_blowup(n: int, r: int, t: int) -> ConstructionOutput:
     """
     value = apex_value(n, r, t)
     m, a = decompose(r, t)
-    r2, t2 = _apex_core(t, m, a)
-    colors = _sliced_colors(n, r2, t2, m)
-    for apex in range(a - m):
-        colors.extend([t2 + apex] * ((m - 1) * n))
-    graph, coloring = _overlay_graph([n] * r, colors, t)
-    return _checked(graph, coloring, value, "apex-blowup")
+    return _overlay(_BY_NAME["apex-blowup"].profile(n, r, t, m, a), value, "apex-blowup")
 
 
 def default_inner_graph(r0: int, t0: int, part_size: int) -> MultipartiteGraph:

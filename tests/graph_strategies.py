@@ -1,4 +1,5 @@
-"""Hypothesis strategies shared by the graph, I/O and verifier tests."""
+"""Hypothesis strategies shared by the graph, I/O, verifier and
+construction tests, and the profile degree formula."""
 
 from hypothesis import strategies as st
 
@@ -38,3 +39,29 @@ def multipartite_graphs(draw, max_parts=5, max_part_size=4, max_vertices=None):
     flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
     return from_edges(sizes, draw(st.permutations(edges)))
+
+
+def profile_min_degree(n, profile):
+    """Minimum degree of the overlay graph of a profile with row sums n.
+
+    A vertex of part p and color c sees every vertex outside both, so its
+    degree is (r - 1) n - (C[c] - x[p][c]), where C[c] is column c's sum.
+    The minimum runs over the cells that hold a vertex.
+    """
+    columns = [sum(column) for column in zip(*profile)]
+    return (len(profile) - 1) * n - max(
+        columns[c] - x for row in profile for c, x in enumerate(row) if x
+    )
+
+
+@st.composite
+def profiles(draw, max_parts=6, max_colors=4, max_part_size=5):
+    """Random profiles: r rows of t cells, each row summing to the same n,
+    zero cells allowed. Returns (n, profile)."""
+    n = draw(st.integers(1, max_part_size))
+    t = draw(st.integers(1, max_colors))
+    cuts = st.lists(st.integers(0, n), min_size=t - 1, max_size=t - 1).map(sorted)
+    rows = draw(st.lists(cuts, min_size=1, max_size=max_parts))
+    return n, tuple(
+        tuple(hi - lo for lo, hi in zip([0, *row], [*row, n])) for row in rows
+    )

@@ -4,10 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from graph_strategies import profile_min_degree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpturan.bounds import (
+    _FAMILIES,
     aes_threshold,
     apex_value,
     best_known_bounds,
@@ -382,6 +384,28 @@ def test_apex_value_is_the_closed_form():
             for n in (1, 3, 40):
                 expected = (r - 1) * n - (m - 1) * ceil_div((r2 - 1) * n, m * t2 - 2)
                 assert apex_value(n, r, t) == expected, (n, r, t)
+
+
+def test_every_profile_attains_its_family_value():
+    """Each profile is r rows of t entries summing to n, and its overlay's
+    degree formula gives the family's closed-form value."""
+    profiled = [family for family in _FAMILIES if family.profile is not None]
+    assert [f.name for f in profiled] == ["balanced-blowup", "sliced-blowup", "apex-blowup"]
+    checks = 0
+    for family in profiled:
+        for t in range(2, 9):
+            for r in range(t + 1, 4 * t + 2):
+                m, a = decompose(r, t)
+                if not family.guard(t, m, a):
+                    continue
+                for n in range(1, 31):
+                    profile = family.profile(n, r, t, m, a)
+                    assert len(profile) == r
+                    assert all(len(row) == t and sum(row) == n for row in profile)
+                    value = family.value(n, r, t, m, a)
+                    assert profile_min_degree(n, profile) == value, (family.name, n, r, t)
+                    checks += 1
+    assert checks == 6090
 
 
 def test_bounds_json_bytes_are_pinned():

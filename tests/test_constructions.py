@@ -1,9 +1,19 @@
 from collections import Counter
 
 import pytest
+from graph_strategies import profile_min_degree, profiles
+from hypothesis import given, settings
 
-from mpturan.bounds import apex_value, composition_bound, sliced_value, turan_sandwich
+from mpturan.bounds import (
+    apex_value,
+    ceil_div,
+    composition_bound,
+    decompose,
+    sliced_value,
+    turan_sandwich,
+)
 from mpturan.constructions import (
+    _overlay,
     apex_blowup,
     block_composition,
     default_inner_graph,
@@ -11,7 +21,7 @@ from mpturan.constructions import (
     turan_blowup,
 )
 from mpturan.errors import DomainError, NotApplicableError
-from mpturan.graphs import complete_multipartite, empty_graph
+from mpturan.graphs import ColorPartition, complete_multipartite, empty_graph
 
 
 def test_turan_blowup_balanced_classes():
@@ -145,3 +155,79 @@ def test_constructions_deterministic():
         a, b = build(), build()
         assert a == b
         assert a.digest() == b.digest()
+
+
+# The per-vertex color layouts the builders used before profiles, kept as
+# the reference that the profile overlays must reproduce.
+
+
+def _reference_turan_colors(n, r, t):
+    base, extra = divmod(r, t)
+    part_color = []
+    for c in range(t):
+        part_color.extend([c] * (base + 1 if c < extra else base))
+    return [part_color[p] for p in range(r) for _ in range(n)]
+
+
+def _reference_sliced_colors(n, r, t, m):
+    slice_size = ceil_div((r - 1) * n, m * t - 2)
+    colors = [t - 1] * (r * n)
+    for p in range((t - 1) * m):
+        colors[p * n:p * n + slice_size] = [p // m] * slice_size
+    return colors
+
+
+def _reference_apex_colors(n, r, t):
+    m, a = decompose(r, t)
+    t2 = t - a + m
+    colors = _reference_sliced_colors(n, m * (t2 - 1), t2, m)
+    for apex in range(a - m):
+        colors.extend([t2 + apex] * ((m - 1) * n))
+    return colors
+
+
+def _reference_sliced_blowup_colors(n, r, t):
+    m, a = decompose(r, t)
+    if a == 1:  # the delegation to the balanced blow-up
+        return _reference_turan_colors(n, r, t)
+    return _reference_sliced_colors(n, r, t, m)
+
+
+def _reference_overlay(n, r, colors):
+    # a vertex is joined to every vertex outside its part and its color
+    skeleton = empty_graph([n] * r)
+    class_masks = ColorPartition(tuple(colors), max(colors) + 1).class_masks()
+    return skeleton.with_rows(
+        skeleton.full_mask & ~skeleton.part_masks[v // n] & ~class_masks[c]
+        for v, c in enumerate(colors)
+    )
+
+
+def test_profile_overlays_match_the_per_vertex_layouts():
+    builds = 0
+    for t in range(2, 9):
+        for r in range(t + 1, 4 * t + 2):
+            for build, reference_colors in (
+                (turan_blowup, _reference_turan_colors),
+                (sliced_blowup, _reference_sliced_blowup_colors),
+                (apex_blowup, _reference_apex_colors),
+            ):
+                for n in range(1, 31):
+                    try:
+                        out = build(n, r, t)
+                    except NotApplicableError:
+                        break
+                    colors = reference_colors(n, r, t)
+                    assert out.coloring.colors == tuple(colors), (build.__name__, n, r, t)
+                    assert out.graph.digest() == _reference_overlay(n, r, colors).digest()
+                    builds += 1
+    assert builds == 6090
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles())
+def test_overlay_attains_the_profile_degree_formula(drawn):
+    n, profile = drawn
+    out = _overlay(profile, profile_min_degree(n, profile), "profile")
+    assert out.graph.part_sizes == (n,) * len(profile)
+    assert out.claimed_min_degree == out.graph.min_degree()
