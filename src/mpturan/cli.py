@@ -58,8 +58,11 @@ def _check_digits(value: int, what: str) -> int:
     return value
 
 
-def _env_jobs() -> int | None:
-    raw = os.environ.get("MPTURAN_JOBS")
+def _jobs(flag: int | None) -> int | None:
+    """``--jobs``, else MPTURAN_JOBS, else None; either must be positive."""
+    source, raw = "--jobs", flag
+    if flag is None:
+        source, raw = "MPTURAN_JOBS", os.environ.get("MPTURAN_JOBS")
     if raw is None or raw == "":
         return None
     try:
@@ -67,7 +70,7 @@ def _env_jobs() -> int | None:
     except ValueError:
         jobs = 0
     if jobs < 1:
-        raise DomainError(f"MPTURAN_JOBS must be a positive integer, got {raw!r}")
+        raise DomainError(f"{source} must be a positive integer, got {raw!r}")
     return jobs
 
 
@@ -227,11 +230,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    jobs = args.jobs if args.jobs is not None else _env_jobs()
+    jobs = _jobs(args.jobs)
     size = args.t + 1
-    kw = dict(cap=args.cap, jobs=jobs, seed=args.seed)
+    kw = dict(cap=args.cap, seed=args.seed)
     if args.mode == "audit":
-        audit = duality_audit(args.n, args.r, size, **kw)
+        audit = duality_audit(args.n, args.r, size, jobs=jobs, **kw)
         audit["t"] = args.t
         if args.format == "json":
             _emit(json.dumps(audit, sort_keys=True, indent=2), args.out)
@@ -394,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        help="fan the search out over this many processes "
+        help="run an audit's f and delta searches in two processes "
         "(default: MPTURAN_JOBS, else serial)",
     )
     p.add_argument("--seed", type=int, help="shuffle the pair order deterministically")

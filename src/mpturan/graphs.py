@@ -99,11 +99,7 @@ class MultipartiteGraph:
                 raise GraphStructureError(
                     f"vertex {v} has a neighbor inside its own part {self.part_of[v]}"
                 )
-            m = row
-            while m:
-                b = m & -m
-                u = b.bit_length() - 1
-                m ^= b
+            for u in bit_indices(row):
                 if not (rows[u] >> v) & 1:
                     raise GraphStructureError(f"adjacency is asymmetric on pair ({v}, {u})")
 

@@ -54,19 +54,16 @@ is refuted without a search. The argument uses no closed form of
 ``bounds``, so the oracle stays an independent check on them. The step
 at the answer still runs the search, so the witnesses are unchanged.
 
-``jobs`` above 1 runs the same search in a process pool, one pool per
-solve. Each binary-search step pins the first two decisions of the
-search to each of their four settings, in the order the serial search
-tries them, and takes the first success. A pinned search walks the
-serial tree below its prefix node for node, so that success is the
-serial result, witness rows included.
+Every solve is one serial search. ``duality_audit`` with ``jobs`` above
+1 runs its f and delta solves side by side in a pool of two processes;
+each side is that same search, so values and witnesses are the serial
+ones.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalConsistencyError, SizeCapError
@@ -87,10 +84,6 @@ MODE_F = "f"
 MODE_DELTA = "delta"
 
 DEFAULT_CAP = 10
-
-# the settings of the first two decisions (1 takes the first value), in
-# the order the serial search tries them; the process pool's tasks
-_PREFIXES = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 
 @dataclass(frozen=True)
@@ -226,7 +219,6 @@ def _decide(
     bound: int,
     first: int,
     pairs: list[tuple[int, int]],
-    prefix: tuple[int, ...],
     gens: tuple[tuple[int, ...], ...],
 ) -> list[int] | None:
     """Decision search: adjacency rows of a feasible graph, or None.
@@ -238,13 +230,6 @@ def _decide(
     value; assignments that ``gens`` prove not lex-maximal in their orbit
     under that encoding are pruned. Per child, the guard runs before the
     lex scan, and the pair is flipped only when both pass.
-
-    ``prefix`` pins the first decisions in the same encoding: at depth
-    k < len(prefix) only the value ``prefix[k]`` marks is tried. A pinned
-    search walks exactly the nodes of the unpinned tree below its prefix,
-    probes at the pinned depths included, so the first success over all
-    prefixes of one length, 1 before 0 at each depth, is the unpinned
-    result.
     """
     npairs = len(pairs)
     template = complete_multipartite((n,) * r)
@@ -257,7 +242,6 @@ def _decide(
     parts = template.part_masks
     masks = [(u, v, 1 << u, 1 << v) for u, v in pairs]
     both = ((first, 1), (1 - first, 0))
-    tries = [(both[1 - mark],) for mark in prefix] + [both] * (npairs - len(prefix))
     a: list[int] = []
 
     def rec(
@@ -284,7 +268,7 @@ def _decide(
         if k == npairs:
             return None
         u, v, bu, bv = masks[k]
-        for val, mark in tries[k]:
+        for val, mark in both:
             if val:
                 # rows has no clique, so a new one would hold u and v
                 if _clique_in(rows, parts, rows[u] & rows[v], size - 2) is not None:
@@ -320,7 +304,6 @@ def _solve(
     r: int,
     size: int,
     cap: int,
-    jobs: int | None,
     symmetry_reduction: bool,
     seed: int | None,
 ) -> OracleResult:
@@ -337,9 +320,8 @@ def _solve(
     it: there a feasible graph would be t-colorable by the
     Andrasfai-Erdos-Sos theorem, and its t color classes could not cover
     all rn vertices, each capped by the slack the target leaves.
-    ``symmetry_reduction=False`` bisects the full range (r - 1)n. With
-    ``jobs`` above 1, one pool of at most four processes serves every
-    step, each step fanned out over the four depth-2 prefixes.
+    ``symmetry_reduction=False`` bisects the full range (r - 1)n.
+    Module-level, so that ``duality_audit`` can hand it to a process.
     """
     if n < 1:
         raise DomainError(f"part size must be >= 1, got n={n}")
@@ -349,8 +331,6 @@ def _solve(
         raise DomainError(f"forbidden structure needs >= 2 vertices, got {size}")
     if cap < 1:
         raise DomainError(f"size cap must be >= 1, got {cap}")
-    if jobs is not None and jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
     if r * n > cap:
         raise SizeCapError(
             f"instance has {r * n} vertices but the exhaustive search is "
@@ -359,19 +339,6 @@ def _solve(
     pairs = _cross_pairs(n, r, seed)
     gens = _position_perms(n, r, pairs) if symmetry_reduction else ()
     first = 1 if mode == MODE_F else 0
-
-    def decide(pool: ProcessPoolExecutor | None, bound: int) -> list[int] | None:
-        args = (n, r, size, bound, first, pairs)
-        if pool is None:
-            return _decide(*args, (), gens)
-        futures = [pool.submit(_decide, *args, prefix, gens) for prefix in _PREFIXES]
-        for i, fut in enumerate(futures):
-            rows = fut.result()
-            if rows is not None:
-                for later in futures[i + 1 :]:
-                    later.cancel()
-                return rows
-        return None
 
     # the empty graph is feasible at target 0, and target 0 is the answer
     # only when size is 2, where it is the one feasible graph. The default
@@ -382,15 +349,13 @@ def _solve(
     high = _ceiling(n, r, size) if symmetry_reduction else (r - 1) * n
     mid = high if symmetry_reduction else (high + 1) // 2
     lo, best = 0, [0] * (r * n)
-    workers = min(jobs, len(_PREFIXES)) if jobs is not None and len(pairs) >= 2 else 1
-    with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
-        while lo < high:
-            rows = decide(pool, mid)
-            if rows is None:
-                high = mid - 1
-            else:
-                best, lo = rows, mid
-            mid = (lo + high + 1) // 2
+    while lo < high:
+        rows = _decide(n, r, size, mid, first, pairs, gens)
+        if rows is None:
+            high = mid - 1
+        else:
+            best, lo = rows, mid
+        mid = (lo + high + 1) // 2
     witness = MultipartiteGraph((n,) * r, tuple(best))
     if mode == MODE_F:
         value, kind, degree = lo, "minimum", witness.min_degree()
@@ -408,7 +373,6 @@ def oracle_f(
     q: int,
     *,
     cap: int = DEFAULT_CAP,
-    jobs: int | None = None,
     symmetry_reduction: bool = True,
     seed: int | None = None,
 ) -> OracleResult:
@@ -422,7 +386,7 @@ def oracle_f(
     unpruned search over the full range (r - 1)n, without the ceiling,
     kept as the reference the pruned one is tested against.
     """
-    return _solve(MODE_F, n, r, q, cap, jobs, symmetry_reduction, seed)
+    return _solve(MODE_F, n, r, q, cap, symmetry_reduction, seed)
 
 
 def oracle_delta(
@@ -431,13 +395,12 @@ def oracle_delta(
     s: int,
     *,
     cap: int = DEFAULT_CAP,
-    jobs: int | None = None,
     symmetry_reduction: bool = True,
     seed: int | None = None,
 ) -> OracleResult:
     """Smallest maximum degree of an r-partite graph, parts of size n, in
     which no s vertices from s distinct parts are pairwise non-adjacent."""
-    return _solve(MODE_DELTA, n, r, s, cap, jobs, symmetry_reduction, seed)
+    return _solve(MODE_DELTA, n, r, s, cap, symmetry_reduction, seed)
 
 
 def duality_audit(
@@ -455,10 +418,19 @@ def duality_audit(
     The values must satisfy delta = (r-1)n - f with the same s, and each
     witness, complemented, must certify the opposite property. Any
     mismatch is a bug in this package, never a property of the inputs.
+    ``jobs`` above 1 runs the two solves side by side in two processes.
     """
-    kw = dict(cap=cap, jobs=jobs, symmetry_reduction=symmetry_reduction, seed=seed)
-    rf = oracle_f(n, r, s, **kw)
-    rd = oracle_delta(n, r, s, **kw)
+    if jobs is not None and jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    if jobs is not None and jobs > 1:
+        args = (n, r, s, cap, symmetry_reduction, seed)
+        with ProcessPoolExecutor(2) as pool:
+            sides = [pool.submit(_solve, mode, *args) for mode in (MODE_F, MODE_DELTA)]
+            rf, rd = (side.result() for side in sides)
+    else:
+        kw = dict(cap=cap, symmetry_reduction=symmetry_reduction, seed=seed)
+        rf = oracle_f(n, r, s, **kw)
+        rd = oracle_delta(n, r, s, **kw)
     if rf.value + rd.value != (r - 1) * n:
         raise InternalConsistencyError(
             f"duality broken: f={rf.value}, delta={rd.value}, "

@@ -322,6 +322,26 @@ def test_oracle_audit(capsys):
     assert doc["f"] + doc["delta"] == (doc["r"] - 1) * doc["n"]
 
 
+def test_oracle_audit_jobs_prints_the_serial_bytes(capsys):
+    argv = ["oracle", "--mode", "audit", "--n", "2", "--r", "5", "--t", "3", "--format", "json"]
+    serial = run(capsys, *argv)
+    assert serial[0] == 0
+    assert run(capsys, *argv, "--jobs", "2") == serial
+
+
+def test_oracle_audit_jobs_over_the_cap():
+    # a fresh process, so that the pool's workers write to the stderr read here
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mpturan.cli", "oracle", "--mode", "audit",
+         "--n", "2", "--r", "6", "--t", "3", "--jobs", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 def test_oracle_search_deeper_than_the_recursion_limit(capsys):
     # 990 cross pairs, one search frame each
     limit = sys.getrecursionlimit()
@@ -444,6 +464,7 @@ def test_verify_checks_its_claims_before_reading_the_graph(tmp_path, capsys, mon
 
 
 _ORACLE = ["oracle", "--mode", "f", "--n", "1", "--r", "4", "--t", "3"]
+_AUDIT = ["oracle", "--mode", "audit", "--n", "1", "--r", "4", "--t", "3"]
 # each construct case builds just past graphs.MAX_VERTICES = 16384 vertices
 _BAD_ARGUMENTS = {
     "oracle cap 0": (_ORACLE + ["--cap", "0"], None),
@@ -452,6 +473,8 @@ _BAD_ARGUMENTS = {
     "oracle jobs -3": (_ORACLE + ["--jobs", "-3"], None),
     "MPTURAN_JOBS 0": (_ORACLE, "0"),
     "MPTURAN_JOBS -3": (_ORACLE, "-3"),
+    "oracle audit jobs 0": (_AUDIT + ["--jobs", "0"], None),
+    "audit MPTURAN_JOBS 0": (_AUDIT, "0"),
     "output is a directory": (["bounds", "--n", "3", "--r", "5", "--t", "2", "--out", "."], None),
     "construct turan": (["construct", "--method", "turan", "--n", "8193", "--r", "2", "--t", "2"], None),
     "construct sliced": (["construct", "--method", "sliced", "--n", "1639", "--r", "10", "--t", "3"], None),

@@ -102,19 +102,15 @@ def test_oracle_variants_agree():
     plain = oracle_f(1, 6, 4).value
     assert oracle_f(1, 6, 4, symmetry_reduction=True).value == plain
     assert oracle_f(1, 6, 4, seed=123).value == plain
-    assert oracle_f(1, 6, 4, jobs=2).value == plain
-    assert oracle_f(1, 6, 4, jobs=2, symmetry_reduction=True, seed=5).value == plain
     d = oracle_delta(2, 3, 3).value
     assert oracle_delta(2, 3, 3, symmetry_reduction=True, seed=11).value == d
-    # the parallel prefixes mark the branch each pair tries first, which
-    # is the exclude branch in mode delta
-    for instance in [(2, 3, 3), (1, 5, 4), (2, 4, 3)]:
-        serial, fanned = oracle_delta(*instance), oracle_delta(*instance, jobs=2)
-        assert fanned.value == serial.value, instance
-        assert fanned.witness.digest() == serial.witness.digest(), instance
+    # each side of a pooled audit is the serial search, run in a child
+    # process and checked again through the complement in this one
+    for instance in [(2, 3, 3), (1, 5, 4), (2, 4, 3), (1, 6, 4), (3, 3, 3)]:
+        assert duality_audit(*instance, jobs=2) == duality_audit(*instance), instance
 
 
-def test_one_pool_serves_a_whole_solve(monkeypatch):
+def test_one_pool_serves_a_whole_audit(monkeypatch):
     opened = []
 
     class CountingPool(oracle.ProcessPoolExecutor):
@@ -123,7 +119,12 @@ def test_one_pool_serves_a_whole_solve(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
-    assert oracle_f(2, 5, 3, jobs=2).value == oracle_f(2, 5, 3).value
+    pooled = duality_audit(2, 5, 4, jobs=2)
+    assert opened == [(2,)]
+    assert duality_audit(2, 5, 4) == pooled
+    assert duality_audit(2, 5, 4, jobs=1) == pooled
+    with pytest.raises(DomainError):
+        duality_audit(2, 5, 4, jobs=0)
     assert opened == [(2,)]
 
 
@@ -373,7 +374,7 @@ def test_lex_scan_prunes_where_the_whole_prefix_check_does(shape, seed, choices)
             return
 
 
-def _decide_before(n, r, size, bound, first, pairs, prefix, gens):
+def _decide_before(n, r, size, bound, first, pairs, gens):
     """``oracle._decide`` as it stood before the guards moved ahead of the
     lex scan and the closures were inlined, kept as the reference the
     reworked decision loop is checked against."""
@@ -417,24 +418,14 @@ def _decide_before(n, r, size, bound, first, pairs, prefix, gens):
                 return found
         return None
 
-    for k, mark in enumerate(prefix):
-        val = first if mark else 1 - first
-        if not allowed(k, val):
-            return None
-        flip(k, val)
-        a.append(mark)
-    scans = oracle._lex_scan([(pi, 0) for pi in gens], a)
-    return None if scans is None else rec(len(prefix), None, None, scans)
+    return rec(0, None, None, [(pi, 0) for pi in gens])
 
 
 def test_decide_matches_the_loop_it_replaced():
     # every cap-grid instance on at most 7 vertices, every bound up to one
     # past the largest degree, both branch orders, three pair orders, with
-    # and without the lex-leader generators; the first success over the
-    # depth-2 prefixes the process pool hands out, in its order, is the
-    # unpinned result, rows included, and the pinned searches' own
-    # successes are counted, so that a pin that does nothing fails too
-    cases, feasible, pinned_feasible = 0, 0, 0
+    # and without the lex-leader generators
+    cases, feasible = 0, 0
     for n, r, s in PLAIN:
         if n * r > 7:
             continue
@@ -443,20 +434,12 @@ def test_decide_matches_the_loop_it_replaced():
             for gens in ((), oracle._position_perms(n, r, pairs)):
                 for bound in range((r - 1) * n + 2):
                     for first in (0, 1):
-                        args = (n, r, s, bound, first, pairs)
-                        rows = oracle._decide(*args, (), gens)
-                        assert rows == _decide_before(*args, (), gens), args
-                        if len(pairs) >= 2:
-                            pinned = [
-                                oracle._decide(*args, prefix, gens)
-                                for prefix in oracle._PREFIXES
-                            ]
-                            fanned = next((x for x in pinned if x is not None), None)
-                            assert fanned == rows, args
-                            pinned_feasible += sum(x is not None for x in pinned)
+                        args = (n, r, s, bound, first, pairs, gens)
+                        rows = oracle._decide(*args)
+                        assert rows == _decide_before(*args), args
                         cases += 1
                         feasible += rows is not None
-    assert (cases, feasible, pinned_feasible) == (2424, 1500, 5072)
+    assert (cases, feasible) == (2424, 1500)
 
 
 def test_open_case_audit_2_7_4():
@@ -483,7 +466,7 @@ def test_no_target_above_the_ceiling_is_feasible():
         for gens in ((gens, ()) if n * r <= 8 else (gens,)):
             for bound in range(top + 1, (r - 1) * n + 1):
                 for first in (0, 1):
-                    assert oracle._decide(n, r, s, bound, first, pairs, (), gens) is None
+                    assert oracle._decide(n, r, s, bound, first, pairs, gens) is None
                     refuted += 1
     assert (refuted, sharp) == (468, 75)
 
