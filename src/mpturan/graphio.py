@@ -6,7 +6,8 @@ Two formats:
   and the sorted edge list; serialization is byte-stable, so a load
   followed by a dump reproduces the input exactly;
 * DIMACS edge format with a ``c part-sizes`` comment carrying the
-  partition, 1-indexed as usual.
+  partition, 1-indexed as usual; the reader takes each run of ``e h v``
+  lines under one head in one split and skips the runs of its twins.
 
 Both readers accept at most ``MAX_VERTICES`` vertices, and any text either
 gives a graph or raises ``GraphStructureError``.
@@ -19,6 +20,8 @@ import os
 import re
 import stat
 from array import array
+from itertools import repeat
+from operator import sub
 from pathlib import Path
 
 from .errors import GraphStructureError
@@ -199,27 +202,28 @@ class _LineParser:
 def from_dimacs(text: str) -> MultipartiteGraph:
     """Read DIMACS edge format with a ``c part-sizes`` comment.
 
-    Every line goes through one per-line parser, with one shortcut for the
-    runs of twins that ``to_dimacs`` writes. The text is read in blocks
-    that end where the writer would start the next vertex's run. A block
-    that is exactly one run, one match of ``_RUN`` under a head h, becomes
-    a template, kept as the run's text split on its line prefix ``e h ``.
-    Where the text then continues with those pieces joined by ``e h+1 ``,
-    those lines are counted but not parsed: they are the template's edges
-    with the new head, and ``from_edges`` receives them as one group.
+    The text is read in blocks that end where the writer would start the
+    next vertex's run. A block that is exactly one run, one match of
+    ``_RUN`` under a head h, is read in one split: its neighbors are every
+    third field, and ``from_edges`` receives the run as one group. The run
+    then becomes a template, kept as its text split on its line prefix
+    ``e h ``. Where the text continues with those pieces joined by
+    ``e h+1 ``, those lines are counted but not parsed: they are the
+    template's edges with the new head, which joins the template's group.
+    Every other block goes through one per-line parser, and so does a run
+    with an id that the parser would refuse, so that each error names its
+    line as that parser does.
     """
     lines = _LineParser()
     groups: list[tuple[list[int], array]] = []
     pos, end_of_text = 0, len(text)
-    head = 0  # 1-based head of the last edge line or shortcut run
+    head = 0  # 1-based head of the last edge line or run
     template: tuple[list[str], list[int], array] | None = None
     while pos < end_of_text:
         if template is not None:
             pieces, heads, neighbors = template
             candidate = f"e {head + 1} ".join(pieces)
             if text.startswith(candidate, pos):
-                if not heads:
-                    groups.append((heads, neighbors))
                 heads.append(head)
                 pos += len(candidate)
                 lines.lineno += len(neighbors)
@@ -233,15 +237,30 @@ def from_dimacs(text: str) -> MultipartiteGraph:
         if end < 0:
             end = text.find("\n", pos + _WINDOW)
         end = end_of_text if end < 0 else end + 1
+        template = None
+        if run and run.end() == end:
+            # the block is one run, its neighbors every third field; an id
+            # that fits no 0-based "I" entry leaves the block to the line
+            # parser, which names its line
+            heads = [int(run[1]) - 1]
+            try:
+                array("I", heads)  # the parser's range check on the head
+                neighbors = array("I", map(sub, map(int, run[0].split()[2::3]), repeat(1)))
+            except (ValueError, OverflowError):
+                pass
+            else:
+                groups.append((heads, neighbors))
+                lines.lineno += len(neighbors)
+                head, pos = heads[0] + 1, end
+                # ``e h `` opens each line of the run and occurs nowhere
+                # else in it, so the run is its pieces joined by that prefix
+                template = (run[0].split(f"e {run[1]} "), heads, neighbors)
+                continue
         first_edge = len(lines.us)
         lines.parse(text[pos:end])
         if len(lines.us) > first_edge:
             head = lines.us[-1] + 1
-        pos, template = end, None
-        if run and run.end() == end:
-            # ``e h `` opens each line of a matched run and occurs nowhere
-            # else in it, so the run is its pieces joined by that prefix
-            template = (run[0].split(f"e {run[1]} "), [], lines.vs[first_edge:])
+        pos = end
     if lines.part_sizes is None:
         raise GraphStructureError(
             "missing 'c part-sizes' comment; the partition cannot be recovered"

@@ -9,9 +9,10 @@ search kernels.
 Parts are independent sets. The constructor validates its rows: one per
 vertex, in range, symmetric, and with no pair inside a part. ``with_rows``
 wraps rows that are valid by construction on the parts of an existing
-graph without checking them again, and ``from_edges`` rejects out-of-range
-ids, self-loops and intra-part pairs itself before it wraps its rows. So
-any graph handed out by this module satisfies the multipartite invariant.
+graph without checking them again, ``empty_graph`` builds all-zero rows
+that need no check, and ``from_edges`` rejects out-of-range ids,
+self-loops and intra-part pairs itself before it wraps its rows. So any
+graph handed out by this module satisfies the multipartite invariant.
 Graphs are immutable once built.
 """
 
@@ -74,6 +75,14 @@ class MultipartiteGraph:
     __slots__ = ("part_sizes", "part_of", "part_masks", "full_mask", "rows")
 
     def __init__(self, part_sizes: Iterable[int], rows: Iterable[int]) -> None:
+        n = self._set_parts(part_sizes)
+        self.rows = tuple(rows)
+        if len(self.rows) != n:
+            raise GraphStructureError(f"expected {n} adjacency rows, got {len(self.rows)}")
+        self._validate()
+
+    def _set_parts(self, part_sizes: Iterable[int]) -> int:
+        """Set the part data from ``part_sizes``; return the vertex count."""
         self.part_sizes = _normalized_part_sizes(part_sizes)
         part_of: list[int] = []
         part_masks = []
@@ -85,10 +94,7 @@ class MultipartiteGraph:
         self.part_of = tuple(part_of)
         self.part_masks = tuple(part_masks)
         self.full_mask = (1 << n) - 1
-        self.rows = tuple(rows)
-        if len(self.rows) != n:
-            raise GraphStructureError(f"expected {n} adjacency rows, got {len(self.rows)}")
-        self._validate()
+        return n
 
     def _validate(self) -> None:
         rows = self.rows
@@ -196,9 +202,10 @@ class MultipartiteGraph:
 
 
 def empty_graph(part_sizes: Iterable[int]) -> MultipartiteGraph:
-    """Edgeless graph on the given parts."""
-    sizes = _normalized_part_sizes(part_sizes)
-    return MultipartiteGraph(sizes, [0] * sum(sizes))
+    """Edgeless graph on the given parts; its zero rows need no validation."""
+    g = object.__new__(MultipartiteGraph)
+    g.rows = (0,) * g._set_parts(part_sizes)
+    return g
 
 
 def complete_multipartite(part_sizes: Iterable[int]) -> MultipartiteGraph:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import tracemalloc
 
 import pytest
@@ -91,13 +92,14 @@ def interleave(lines, step=97):
 
 
 # (method, n, r, t): the DIMACS graphs of the benchmark's certify workload,
-# each with the number of its lines that the reader parses one by one
+# each with the number of its lines that the reader parses one by one (the
+# header block) and the number it reads in one split per run
 CERTIFY_GRAPHS = {
-    ("sliced", 60, 10, 3): 3884,
-    ("turan", 60, 10, 3): 902,
-    ("apex", 40, 14, 6): 6770,
-    ("composition", 60, 5, 3): 1622,
-    ("sliced", 200, 13, 3): 21287,
+    ("sliced", 60, 10, 3): (380, 3504),
+    ("turan", 60, 10, 3): (362, 540),
+    ("apex", 40, 14, 6): (454, 6316),
+    ("composition", 60, 5, 3): (149, 1473),
+    ("sliced", 200, 13, 3): (1662, 19625),
 }
 
 
@@ -405,6 +407,22 @@ def _short_head_text():
         pytest.param(
             _twins_text(101, {100: "e 10 102\ne 10 103"}), id="twins-1-101-head-10-at-100"
         ),
+        # vertex 2's run, lines 6-8, is a block of its own, read in one
+        # split; an id there that fits no 0-based unsigned 32-bit entry
+        # sends the block to the line parser
+        *(
+            pytest.param(twin_text([(5 + k, f"e 2 {v}")]), id=f"run-line-{k}-{name}")
+            for k in (1, 2, 3)
+            for name, v in [("0", 0), ("2**32+1", 2**32 + 1), ("5000-digits", "9" * 5000)]
+        ),
+        # a run under head h after vertex 3's twin run is a block of its own
+        *(
+            pytest.param(
+                twin_text([(12, f"e {h} 5"), (13, f"e {h} 6"), (14, f"e {h} 7")]),
+                id=f"run-head-{h}",
+            )
+            for h in ("0", "04", "4294967297")
+        ),
     ],
 )
 def test_twin_runs_read_like_the_reference(text):
@@ -412,12 +430,33 @@ def test_twin_runs_read_like_the_reference(text):
 
 
 def test_twin_runs_cross_digit_boundaries_unparsed(monkeypatch):
-    # the first run shares its block with the header; the second is the
-    # template, which every later run repeats, the longer heads included
+    # the first run shares its block with the header and is parsed; the
+    # second is read in one split and becomes the template, which every
+    # later run repeats, the longer heads included
     blocks = _record_parsed_blocks(monkeypatch)
+    groups = _record_groups(monkeypatch)
     g = from_dimacs(_twins_text(101))
     assert g == complete_multipartite([101, 2])
-    assert _line_count(blocks) == 1 + 2 + 2
+    assert _line_count(blocks) == 1 + 2
+    assert _split_count(groups) == 2
+
+
+def test_twin_free_dimacs_parses_only_its_header_block(monkeypatch):
+    # every run after vertex 1's is a block of its own, read in one split
+    rng = random.Random(7)
+    edges = [
+        (u, v)
+        for u in range(60)
+        for v in range(u + 1, 60)
+        if u // 10 != v // 10 and rng.random() < 0.5
+    ]
+    g = from_edges([10] * 6, edges)
+    text = to_dimacs(g)
+    blocks = _record_parsed_blocks(monkeypatch)
+    groups = _record_groups(monkeypatch)
+    assert from_dimacs(text) == g
+    assert blocks == [text[: text.index("\ne 2 ") + 1]]
+    assert all(len(heads) == 1 for heads, _ in groups)
 
 
 @pytest.mark.parametrize("construction", CERTIFY_GRAPHS, ids=lambda c: "{}{}".format(*c[:1], c[1:]))
@@ -430,8 +469,9 @@ def test_dimacs_matches_the_references_on_constructions(tmp_path, monkeypatch, c
     expected = reference_parse(reordered)
     assert expected == g
     blocks = _record_parsed_blocks(monkeypatch)
+    groups = _record_groups(monkeypatch)
     assert from_dimacs(text) == expected
-    assert _line_count(blocks) == CERTIFY_GRAPHS[construction]
+    assert (_line_count(blocks), _split_count(groups)) == CERTIFY_GRAPHS[construction]
     assert from_dimacs(reordered) == expected
 
 
@@ -507,6 +547,24 @@ def _line_count(blocks):
     return sum(len(block.splitlines()) for block in blocks)
 
 
+def _record_groups(monkeypatch):
+    """Make ``from_dimacs`` record the groups it hands to ``from_edges``:
+    one per run read in one split, with the heads of that run's twins."""
+    groups = []
+
+    def recording_from_edges(part_sizes, edges, run_groups):
+        groups.extend(run_groups)
+        return from_edges(part_sizes, edges, run_groups)
+
+    monkeypatch.setattr(graphio, "from_edges", recording_from_edges)
+    return groups
+
+
+def _split_count(groups):
+    """Lines read in one split: each group's run, not its twins."""
+    return sum(len(neighbors) for _, neighbors in groups)
+
+
 def test_from_dimacs_parses_repeated_runs_once(monkeypatch):
     g = sliced_blowup(60, 10, 3).graph
     text = to_dimacs(g)
@@ -518,12 +576,15 @@ def test_from_dimacs_parses_repeated_runs_once(monkeypatch):
 def test_from_dimacs_makes_templates_of_runs_longer_than_64_kib(monkeypatch):
     # each vertex of the first part has a run of 12,000 lines, about 120 KB;
     # the first run shares its block with the header and is parsed, the
-    # second becomes the template that the last two repeat
+    # second is read in one split and becomes the template that the last
+    # two repeat
     g = complete_multipartite([4, 12000])
     text = to_dimacs(g)
     blocks = _record_parsed_blocks(monkeypatch)
+    groups = _record_groups(monkeypatch)
     assert from_dimacs(text).digest() == g.digest()
-    assert _line_count(blocks) == 2 + 2 * 12000  # the header and two of four runs
+    assert _line_count(blocks) == 2 + 12000  # the header and the first run
+    assert _split_count(groups) == 12000
 
 
 def test_from_dimacs_blocks_after_a_vertex_without_run_stay_small(monkeypatch):
