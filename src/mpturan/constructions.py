@@ -9,7 +9,9 @@ from its bound family in ``bounds._FAMILIES``.
 
 The block composition is different in kind: it targets the complementary
 quantity (small maximum degree, no crossing independent set) and stitches
-copies of a caller-supplied inner graph into blocks.
+copies of a caller-supplied inner graph into blocks. It builds its rows
+from masks too: the large sides of a part share one row, and each small
+vertex gets its inner row moved slice by slice onto a block's small sides.
 
 Every builder measures the parameters of the graph it just built and
 refuses to return if they disagree with the claimed formula; identical
@@ -196,31 +198,22 @@ def block_composition(
 
     r = r0 * k
     skeleton = empty_graph([n] * r)
-    small_masks = [((1 << slice_size) - 1) << (p * n) for p in range(r)]
-    large_masks = [skeleton.part_masks[p] & ~small_masks[p] for p in range(r)]
-    block_small = [0] * k
-    block_large = [0] * k
+    parts = skeleton.part_masks
+    low = (1 << slice_size) - 1
+    small = sum(low << (p * n) for p in range(r))
+    block = [sum(parts[b * r0:(b + 1) * r0]) for b in range(k)]
+    # each inner row moved onto block 0's small sides, slice j to part j
+    moved = [
+        sum(((row >> (j * slice_size)) & low) << (j * n) for j in range(r0))
+        for row in inner.rows
+    ]
+    rows: list[int] = []
     for p in range(r):
-        block_small[p // r0] |= small_masks[p]
-        block_large[p // r0] |= large_masks[p]
-    all_small = 0
-    for mask in block_small:
-        all_small |= mask
-
-    rows = [0] * (r * n)
-    for p in range(r):
-        b = p // r0
-        start = p * n
-        for v in range(start, start + slice_size):
-            rows[v] = all_small & ~block_small[b]
-        for v in range(start + slice_size, start + n):
-            rows[v] = block_large[b] & ~large_masks[p]
-    for b in range(k):
-        for iu, iv in inner.edges():
-            u = (b * r0 + iu // slice_size) * n + iu % slice_size
-            v = (b * r0 + iv // slice_size) * n + iv % slice_size
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+        b, j = divmod(p, r0)
+        outside = small & ~block[b]
+        shift = b * r0 * n
+        rows += [outside | row << shift for row in moved[j * slice_size:(j + 1) * slice_size]]
+        rows += [block[b] & ~small & ~parts[p]] * (n - slice_size)
     graph = skeleton.with_rows(rows)
 
     measured_max = graph.max_degree()

@@ -230,10 +230,13 @@ def from_dimacs(text: str) -> MultipartiteGraph:
                 head += 1
                 continue
         # the block runs up to the next vertex's run: the vertex after the
-        # head of the run at pos, or after head + 1 where pos starts no run
+        # head of the run at pos, after head + 1 where pos starts another
+        # edge line, and the first edge line where pos starts none (the
+        # header, or a comment)
         run = _RUN.match(text, pos)
         nxt = int(run[1]) + 1 if run else head + 2
-        end = text.find(f"\ne {nxt} ", pos, pos + _WINDOW)
+        stop = f"\ne {nxt} " if run or text.startswith("e ", pos) else "\ne "
+        end = text.find(stop, pos, pos + _WINDOW)
         if end < 0:
             end = text.find("\n", pos + _WINDOW)
         end = end_of_text if end < 0 else end + 1

@@ -1,10 +1,15 @@
+import math
 from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from graph_strategies import profile_min_degree, profiles
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mpturan.bounds import (
+    _composition_slice,
     apex_value,
     ceil_div,
     composition_bound,
@@ -12,6 +17,7 @@ from mpturan.bounds import (
     sliced_value,
     turan_sandwich,
 )
+from mpturan.cli import _composition_from_defaults
 from mpturan.constructions import (
     _overlay,
     apex_blowup,
@@ -21,7 +27,8 @@ from mpturan.constructions import (
     turan_blowup,
 )
 from mpturan.errors import DomainError, NotApplicableError
-from mpturan.graphs import ColorPartition, complete_multipartite, empty_graph
+from mpturan.graphs import ColorPartition, complete_multipartite, empty_graph, from_edges
+from mpturan.verifier import find_crossing_independent
 
 
 def test_turan_blowup_balanced_classes():
@@ -231,3 +238,94 @@ def test_overlay_attains_the_profile_degree_formula(drawn):
     out = _overlay(profile, profile_min_degree(n, profile), "profile")
     assert out.graph.part_sizes == (n,) * len(profile)
     assert out.claimed_min_degree == out.graph.min_degree()
+
+
+# The per-vertex, per-edge layout the block composition used before its
+# rows were built from masks, kept as the reference that it must reproduce.
+
+
+def _reference_composition(n, inner, k):
+    r0, slice_size = inner.n_parts, inner.part_sizes[0]
+    r = r0 * k
+    skeleton = empty_graph([n] * r)
+    small_masks = [((1 << slice_size) - 1) << (p * n) for p in range(r)]
+    large_masks = [skeleton.part_masks[p] & ~small_masks[p] for p in range(r)]
+    block_small = [0] * k
+    block_large = [0] * k
+    for p in range(r):
+        block_small[p // r0] |= small_masks[p]
+        block_large[p // r0] |= large_masks[p]
+    all_small = 0
+    for mask in block_small:
+        all_small |= mask
+
+    rows = [0] * (r * n)
+    for p in range(r):
+        b = p // r0
+        start = p * n
+        for v in range(start, start + slice_size):
+            rows[v] = all_small & ~block_small[b]
+        for v in range(start + slice_size, start + n):
+            rows[v] = block_large[b] & ~large_masks[p]
+    for b in range(k):
+        for iu, iv in inner.edges():
+            u = (b * r0 + iu // slice_size) * n + iu % slice_size
+            v = (b * r0 + iv // slice_size) * n + iv % slice_size
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return skeleton.with_rows(rows)
+
+
+def test_stock_compositions_match_the_per_edge_layout():
+    builds = 0
+    for n in range(2, 16):
+        for r0 in range(2, 7):
+            for t0 in range(2, 7):
+                for k in range(2, 5):
+                    try:
+                        out = _composition_from_defaults(n, r0, t0, k)
+                    except DomainError:
+                        continue
+                    delta0 = Fraction(ceil_div(r0, t0 - 1) - 1)
+                    inner = default_inner_graph(r0, t0, _composition_slice(n, r0, k, delta0))
+                    reference = _reference_composition(n, inner, k)
+                    assert out.graph.digest() == reference.digest(), (n, r0, t0, k)
+                    assert out.claimed_max_degree == reference.max_degree()
+                    assert out.claimed_min_degree == reference.min_degree()
+                    builds += 1
+    assert builds == 516
+
+
+@st.composite
+def composition_inputs(draw):
+    """An r0-partite inner graph with equal parts of size l, a t0 <= r0 it
+    has no crossing independent set of, k, and an n whose slice size is l
+    at delta0 = max degree / l. The inner graph is a complete multipartite
+    graph with some cross pairs removed, so that dense graphs, the ones
+    with few crossing independent sets, are common."""
+    r0 = draw(st.integers(2, 4))
+    slice_size = draw(st.integers(1, 3))
+    vertices = range(r0 * slice_size)
+    pairs = [(u, v) for u, v in combinations(vertices, 2) if u // slice_size != v // slice_size]
+    removed = set(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))))
+    inner = from_edges([slice_size] * r0, [pair for pair in pairs if pair not in removed])
+    t0 = draw(st.integers(2, r0))
+    assume(find_crossing_independent(inner, t0) is None)
+    k = draw(st.integers(2, 3))
+    delta0 = Fraction(inner.max_degree(), slice_size)
+    # l = floor(per_n * n), so the n in [l / per_n, (l + 1) / per_n) give l
+    per_n = Fraction(r0 - 1) / (delta0 + k * r0 - 1)
+    low = max(2, math.ceil(slice_size / per_n))
+    high = math.ceil((slice_size + 1) / per_n) - 1
+    return draw(st.integers(low, high)), inner, t0, delta0, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(composition_inputs())
+def test_block_composition_matches_the_per_edge_layout(drawn):
+    n, inner, t0, delta0, k = drawn
+    assert _composition_slice(n, inner.n_parts, k, delta0) == inner.part_sizes[0]
+    out = block_composition(n, inner, t0, delta0, k)
+    reference = _reference_composition(n, inner, k)
+    assert out.graph.rows == reference.rows
+    assert out.claimed_max_degree == reference.max_degree()

@@ -95,11 +95,11 @@ def interleave(lines, step=97):
 # each with the number of its lines that the reader parses one by one (the
 # header block) and the number it reads in one split per run
 CERTIFY_GRAPHS = {
-    ("sliced", 60, 10, 3): (380, 3504),
-    ("turan", 60, 10, 3): (362, 540),
-    ("apex", 40, 14, 6): (454, 6316),
-    ("composition", 60, 5, 3): (149, 1473),
-    ("sliced", 200, 13, 3): (1662, 19625),
+    ("sliced", 60, 10, 3): (2, 3504),
+    ("turan", 60, 10, 3): (2, 540),
+    ("apex", 40, 14, 6): (2, 6316),
+    ("composition", 60, 5, 3): (2, 1473),
+    ("sliced", 200, 13, 3): (2, 19625),
 }
 
 
@@ -213,7 +213,7 @@ def twin_text(edits=(), newline="\n"):
 
     Lines 3-5 hold vertex 1's run, 6-8 vertex 2's, 9-11 vertex 3's and
     12-14 vertex 4's, so a reader that matches repeated runs can take
-    vertices 3 and 4 without parsing them. Each (lineno, text) in
+    vertices 2 to 4 without parsing them. Each (lineno, text) in
     ``edits`` replaces that line; the ``p edge`` line counts the edge
     lines after the edits.
     """
@@ -415,6 +415,16 @@ def _short_head_text():
             for k in (1, 2, 3)
             for name, v in [("0", 0), ("2**32+1", 2**32 + 1), ("5000-digits", "9" * 5000)]
         ),
+        # vertex 1's run, lines 3-5, ends the header block and is read in
+        # one split too, also after a comment or a line the writer would
+        # not write
+        *(
+            pytest.param(twin_text([(2 + k, f"e 1 {v}")]), id=f"first-run-line-{k}-{name}")
+            for k in (1, 2, 3)
+            for name, v in [("0", 0), ("2**32+1", 2**32 + 1)]
+        ),
+        pytest.param(twin_text([(3, "c note\ne 1 5")]), id="first-run-after-comment"),
+        pytest.param(twin_text([(3, " e 1 5")]), id="first-run-after-indented-line"),
         # a run under head h after vertex 3's twin run is a block of its own
         *(
             pytest.param(
@@ -430,19 +440,19 @@ def test_twin_runs_read_like_the_reference(text):
 
 
 def test_twin_runs_cross_digit_boundaries_unparsed(monkeypatch):
-    # the first run shares its block with the header and is parsed; the
-    # second is read in one split and becomes the template, which every
-    # later run repeats, the longer heads included
+    # the header block is parsed; the first run is read in one split and
+    # becomes the template, which every later run repeats, the longer
+    # heads included
     blocks = _record_parsed_blocks(monkeypatch)
     groups = _record_groups(monkeypatch)
     g = from_dimacs(_twins_text(101))
     assert g == complete_multipartite([101, 2])
-    assert _line_count(blocks) == 1 + 2
+    assert _line_count(blocks) == 1
     assert _split_count(groups) == 2
 
 
 def test_twin_free_dimacs_parses_only_its_header_block(monkeypatch):
-    # every run after vertex 1's is a block of its own, read in one split
+    # every run is a block of its own, read in one split
     rng = random.Random(7)
     edges = [
         (u, v)
@@ -455,7 +465,7 @@ def test_twin_free_dimacs_parses_only_its_header_block(monkeypatch):
     blocks = _record_parsed_blocks(monkeypatch)
     groups = _record_groups(monkeypatch)
     assert from_dimacs(text) == g
-    assert blocks == [text[: text.index("\ne 2 ") + 1]]
+    assert blocks == [text[: text.index("\ne 1 ") + 1]]
     assert all(len(heads) == 1 for heads, _ in groups)
 
 
@@ -575,15 +585,14 @@ def test_from_dimacs_parses_repeated_runs_once(monkeypatch):
 
 def test_from_dimacs_makes_templates_of_runs_longer_than_64_kib(monkeypatch):
     # each vertex of the first part has a run of 12,000 lines, about 120 KB;
-    # the first run shares its block with the header and is parsed, the
-    # second is read in one split and becomes the template that the last
-    # two repeat
+    # only the header block is parsed, and the first run is read in one
+    # split and becomes the template that the other three repeat
     g = complete_multipartite([4, 12000])
     text = to_dimacs(g)
     blocks = _record_parsed_blocks(monkeypatch)
     groups = _record_groups(monkeypatch)
     assert from_dimacs(text).digest() == g.digest()
-    assert _line_count(blocks) == 2 + 12000  # the header and the first run
+    assert _line_count(blocks) == 2  # the header
     assert _split_count(groups) == 12000
 
 

@@ -66,9 +66,16 @@ def test_tracer_sees_each_layer_through_the_cli(tmp_path, capsys):
         assert mpturan.cli.main([*construct, "--format", "dimacs", "--out", str(path)]) == 0
         assert mpturan.cli.main(["verify", "--in", str(path), "--claim", "colorable=3"]) == 0
         assert mpturan.cli.main(["oracle", "--mode", "audit", "--n", "1", "--r", "4", "--t", "2"]) == 0
+        builds = tracer.layer_totals()["constructions.build"]["calls"]
+        composition = ["construct", "--method", "composition", "--n", "6", "--r", "5", "--t", "3"]
+        assert mpturan.cli.main(composition) == 0
     finally:
         tracer.restore()
     capsys.readouterr()
     totals = tracer.layer_totals()
     for name in ("constructions.build", "verifier.find_coloring", "oracle.probe.clique"):
         assert totals[name]["calls"] > 0, name
+    # the composition is built through cli.block_composition, its inner
+    # graph through cli.default_inner_graph
+    assert totals["constructions.build"]["calls"] == builds + 1
+    assert totals["constructions.inner_graph"]["calls"] == 1
