@@ -20,9 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 from .bounds import _check_composition, _composition_slice, best_known_bounds, ceil_div
@@ -35,7 +38,10 @@ from .constructions import (
     turan_blowup,
 )
 from .errors import DomainError, GraphStructureError, InternalConsistencyError, SizeCapError
-from .graphio import graph_to_json_dict, loads_graph, from_dimacs, to_dimacs, write_text
+from .graphio import _batches, dimacs_chunks, from_dimacs, graph_to_json_dict, loads_graph
+from .graphio import write_text
+# not called here, but the benchmark's tracer wraps it by this module's name
+from .graphio import to_dimacs  # noqa: F401
 from .graphs import MAX_VERTICES, MultipartiteGraph
 from .oracle import DEFAULT_CAP, duality_audit, oracle_delta, oracle_f
 from .verifier import _CLAIMS, REFUTED, _check_claim_kinds, aes_check, certify
@@ -74,14 +80,20 @@ def _jobs(flag: int | None) -> int | None:
     return jobs
 
 
+def _stream(chunks: Iterable[str], out: str | None) -> None:
+    """Write the concatenation of ``chunks`` to ``out``, or to stdout without
+    one, a batch at a time."""
+    if not out:
+        sys.stdout.writelines(_batches(chunks))
+        return
+    try:
+        write_text(out, chunks)
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc.strerror}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            write_text(out, text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise DomainError(f"cannot write {out}: {exc.strerror}") from None
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+    _stream((text if text.endswith("\n") else text + "\n",), out)
 
 
 def _render_report_text(report) -> str:
@@ -143,7 +155,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     built = _METHODS[args.method](args)
     g = built.graph
     if args.format == "dimacs":
-        _emit(to_dimacs(g), args.out)
+        _stream(dimacs_chunks(g), args.out)
     elif args.format == "json":
         doc = {
             "method": args.method,
@@ -153,7 +165,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             "max_degree": built.claimed_max_degree,
             "coloring": list(built.coloring.colors) if built.coloring else None,
         }
-        _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
+        encoder = json.JSONEncoder(sort_keys=True, indent=2)
+        _stream(chain(encoder.iterencode(doc), "\n"), args.out)
     else:
         lines = [
             f"method: {args.method} ({built.source})",
@@ -169,9 +182,19 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
+# what ``str.lstrip`` strips: Unicode whitespace, which within ASCII is
+# ``\s`` and \x1c-\x1f
+_SPACE = re.compile(r"\s*")
+_ASCII_SPACE = re.compile(rb"[\s\x1c-\x1f]*")
+
+
 def _read_graph_file(path: str) -> MultipartiteGraph:
+    """The graph in the file at ``path``: a JSON graph document when its
+    first non-whitespace character is ``{``, else DIMACS, read as bytes."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        # ASCII is UTF-8 as it stands; other bytes are decoded once to check
+        text = None if data.isascii() else data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GraphStructureError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
@@ -180,10 +203,17 @@ def _read_graph_file(path: str) -> MultipartiteGraph:
         raise DomainError(f"{path} is a directory, not a graph file") from None
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from None
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return loads_graph(text)
-    return from_dimacs(text)
+    if text is None:
+        is_json = data.startswith(b"{", _ASCII_SPACE.match(data).end())
+    else:
+        is_json = text.startswith("{", _SPACE.match(text).end())
+    if not is_json:
+        return from_dimacs(data)
+    if text is None:
+        text = data.decode("ascii")
+    # the newlines a text-mode read would give, so that JSON errors name the
+    # same positions
+    return loads_graph(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _parse_claims(raw: list[str]) -> list[tuple[str, int]]:

@@ -6,8 +6,13 @@ Two formats:
   and the sorted edge list; serialization is byte-stable, so a load
   followed by a dump reproduces the input exactly;
 * DIMACS edge format with a ``c part-sizes`` comment carrying the
-  partition, 1-indexed as usual; the reader takes each run of ``e h v``
-  lines under one head in one split and skips the runs of its twins.
+  partition, 1-indexed as usual; the writer yields the text one vertex's
+  run at a time, and the reader works on the file's bytes, takes each run
+  of ``e h v`` lines under one head in one split and skips the runs of its
+  twins.
+
+``write_text`` writes any text given in pieces, a batch at a time, so a
+streamed DIMACS or JSON file is never held whole in memory.
 
 Both readers accept at most ``MAX_VERTICES`` vertices, and any text either
 gives a graph or raises ``GraphStructureError``.
@@ -20,6 +25,7 @@ import os
 import re
 import stat
 from array import array
+from collections.abc import Iterable, Iterator
 from itertools import repeat
 from operator import sub
 from pathlib import Path
@@ -33,6 +39,7 @@ __all__ = [
     "graph_from_json_dict",
     "dumps_graph",
     "loads_graph",
+    "dimacs_chunks",
     "to_dimacs",
     "from_dimacs",
 ]
@@ -87,35 +94,57 @@ def loads_graph(text: str) -> MultipartiteGraph:
     return graph_from_json_dict(doc)
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Replace the contents of ``path`` with ``text`` as UTF-8.
+_BATCH = 1 << 20
+"""Characters that ``write_text`` joins, encodes and writes at once."""
 
-    The file is opened without O_TRUNC: truncating a file whose last
-    contents are not yet written back makes the open wait for that
-    writeback. Every byte is written first, and a regular file is then cut
-    to the new length. Other targets, such as ``/dev/stdout`` or a FIFO,
-    are written in place; the path itself is never unlinked or replaced.
+
+def _batches(chunks: Iterable[str]) -> Iterator[str]:
+    """``chunks`` joined into strings of at least ``_BATCH`` characters, the
+    last one excepted."""
+    pending, size = [], 0
+    for chunk in chunks:
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= _BATCH:
+            batch = "".join(pending)
+            pending.clear()
+            size = 0
+            yield batch
+    yield "".join(pending)
+
+
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Replace the contents of ``path`` with the concatenation of ``chunks``,
+    a string or any iterable of strings, as UTF-8.
+
+    The chunks are joined and encoded in batches of about ``_BATCH``
+    characters, so the text is never held whole. The file is opened without
+    O_TRUNC: truncating a file whose last contents are not yet written back
+    makes the open wait for that writeback. Every byte is written first, and
+    a regular file is then cut to the new length. Other targets, such as
+    ``/dev/stdout`` or a FIFO, are written in place; the path itself is never
+    unlinked or replaced.
     """
-    data = text.encode("utf-8")
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
+        size = 0
+        for batch in _batches(chunks):
+            size += fh.write(batch.encode("utf-8"))
         fh.flush()
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            os.ftruncate(fh.fileno(), len(data))
+            os.ftruncate(fh.fileno(), size)
 
 
-def to_dimacs(g: MultipartiteGraph) -> str:
-    """DIMACS text with one ``e u v`` line per edge, u < v, 1-based.
+def dimacs_chunks(g: MultipartiteGraph) -> Iterator[str]:
+    """The text of ``to_dimacs(g)`` in pieces: the two header lines, then
+    one piece per vertex with higher neighbors, holding that vertex's run.
 
     Vertex names come from one table, and a row whose higher neighbors are
     those of the row before it (as with twins) reuses that row's name list.
     """
     n = g.n_vertices
     names = [str(v + 1) for v in range(n)]
-    chunks = [
-        "c part-sizes " + " ".join(map(str, g.part_sizes)) + "\n",
-        f"p edge {n} {g.edge_count()}\n",
-    ]
+    yield "c part-sizes " + " ".join(map(str, g.part_sizes)) + "\n"
+    yield f"p edge {n} {g.edge_count()}\n"
     previous, ids = 0, []
     for u, row in enumerate(g.rows):
         higher = row >> (u + 1)
@@ -125,20 +154,21 @@ def to_dimacs(g: MultipartiteGraph) -> str:
             if higher << 1 != previous:
                 ids = list(map(names.__getitem__, bit_indices(higher, u + 1)))
             head = f"e {u + 1} "
-            chunks.append(head + ("\n" + head).join(ids) + "\n")
+            yield head + ("\n" + head).join(ids) + "\n"
         previous = higher
-    return "".join(chunks)
+
+
+def to_dimacs(g: MultipartiteGraph) -> str:
+    """DIMACS text with one ``e u v`` line per edge, u < v, 1-based."""
+    return "".join(dimacs_chunks(g))
 
 
 _WINDOW = 1 << 18
-"""Characters searched for the end of the run that starts a block; a block
-with no run end in them ends at the next newline after them, so that a large
-file never becomes one list of millions of lines. A run becomes a template
-only when it is one block, so the window holds the longest run a file within
-``MAX_VERTICES`` can have: 16,383 lines of at most 14 characters (``e 16383
-16384`` and its newline), 229,362 characters in all."""
+"""Bytes searched for the end of a block that is not a run; a block with no
+end in them ends at the next newline after them, so that a large file never
+becomes one list of millions of lines."""
 
-_RUN = re.compile(rf"(?a)e (\d{{1,10}}) \d+\r?\n(?:e \1 \d+\r?\n){{0,{MAX_VERTICES - 2}}}")
+_RUN = re.compile(rb"e (\d{1,10}) \d+\r?\n(?:e \1 \d+\r?\n){0,%d}" % (MAX_VERTICES - 2))
 """One vertex's run as ``to_dimacs`` writes it: ``e h v`` lines under one
 head h, at most ``MAX_VERTICES - 1`` of them. The bound keeps a match within
 one run, so a long text under one head is not scanned again from every
@@ -199,52 +229,49 @@ class _LineParser:
         self.lineno = lineno
 
 
-def from_dimacs(text: str) -> MultipartiteGraph:
-    """Read DIMACS edge format with a ``c part-sizes`` comment.
+def from_dimacs(data: bytes | str) -> MultipartiteGraph:
+    """Read DIMACS edge format with a ``c part-sizes`` comment, from UTF-8
+    bytes or from a string, which is encoded once on entry. Both ways pass
+    surrogates, so that any string reads as text.
 
-    The text is read in blocks that end where the writer would start the
-    next vertex's run. A block that is exactly one run, one match of
-    ``_RUN`` under a head h, is read in one split: its neighbors are every
-    third field, and ``from_edges`` receives the run as one group. The run
-    then becomes a template, kept as its text split on its line prefix
-    ``e h ``. Where the text continues with those pieces joined by
-    ``e h+1 ``, those lines are counted but not parsed: they are the
-    template's edges with the new head, which joins the template's group.
-    Every other block goes through one per-line parser, and so does a run
-    with an id that the parser would refuse, so that each error names its
-    line as that parser does.
+    The bytes are read in blocks. A run, one match of ``_RUN`` under a head
+    h, is a block of its own unless the next line carries on under h; it is
+    read in one split: its neighbors are every third field, and
+    ``from_edges`` receives the run as one group. The run then becomes a
+    template, kept as its text split on its line prefix ``e h ``. Where the
+    bytes continue with those pieces joined by ``e h+1 ``, those lines are
+    counted but not parsed: they are the template's edges with the new head,
+    which joins the template's group. Any other block ends where the writer
+    would start the next vertex's run, and is decoded and given to one
+    per-line parser; so is a run with an id that the parser would refuse, so
+    that each error names its line as that parser does.
     """
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
     lines = _LineParser()
     groups: list[tuple[list[int], array]] = []
-    pos, end_of_text = 0, len(text)
+    pos, end_of_text = 0, len(data)
     head = 0  # 1-based head of the last edge line or run
     template: tuple[list[str], list[int], array] | None = None
     while pos < end_of_text:
         if template is not None:
             pieces, heads, neighbors = template
-            candidate = f"e {head + 1} ".join(pieces)
-            if text.startswith(candidate, pos):
+            # a str join and one encode beat joining bytes pieces
+            candidate = f"e {head + 1} ".join(pieces).encode()
+            if data.startswith(candidate, pos):
                 heads.append(head)
                 pos += len(candidate)
                 lines.lineno += len(neighbors)
                 head += 1
                 continue
-        # the block runs up to the next vertex's run: the vertex after the
-        # head of the run at pos, after head + 1 where pos starts another
-        # edge line, and the first edge line where pos starts none (the
-        # header, or a comment)
-        run = _RUN.match(text, pos)
-        nxt = int(run[1]) + 1 if run else head + 2
-        stop = f"\ne {nxt} " if run or text.startswith("e ", pos) else "\ne "
-        end = text.find(stop, pos, pos + _WINDOW)
-        if end < 0:
-            end = text.find("\n", pos + _WINDOW)
-        end = end_of_text if end < 0 else end + 1
         template = None
-        if run and run.end() == end:
-            # the block is one run, its neighbors every third field; an id
+        run = _RUN.match(data, pos)
+        prefix = run and b"e " + run[1] + b" "
+        if run and not data.startswith(prefix, run.end()):
+            # the run is one block, its neighbors every third field; an id
             # that fits no 0-based "I" entry leaves the block to the line
             # parser, which names its line
+            end = run.end()
             heads = [int(run[1]) - 1]
             try:
                 array("I", heads)  # the parser's range check on the head
@@ -257,10 +284,27 @@ def from_dimacs(text: str) -> MultipartiteGraph:
                 head, pos = heads[0] + 1, end
                 # ``e h `` opens each line of the run and occurs nowhere
                 # else in it, so the run is its pieces joined by that prefix
-                template = (run[0].split(f"e {run[1]} "), heads, neighbors)
+                template = (run[0].decode().split(prefix.decode()), heads, neighbors)
                 continue
+        else:
+            # the block runs up to the next vertex's run: the vertex after
+            # the head of a run that goes on under that head, after head + 1
+            # where pos starts another edge line, and the first edge line
+            # where pos starts none (the header, or a comment)
+            nxt = int(run[1]) + 1 if run else head + 2
+            stop = b"\ne %d " % nxt if data.startswith(b"e ", pos) else b"\ne "
+            end = data.find(stop, pos, pos + _WINDOW)
+            if end < 0:
+                end = data.find(b"\n", pos + _WINDOW)
+            end = end_of_text if end < 0 else end + 1
+        try:
+            block = data[pos:end].decode("utf-8", "surrogatepass")
+        except UnicodeDecodeError as exc:
+            raise GraphStructureError(
+                f"not UTF-8 text ({exc.reason} at byte {pos + exc.start})"
+            ) from None
         first_edge = len(lines.us)
-        lines.parse(text[pos:end])
+        lines.parse(block)
         if len(lines.us) > first_edge:
             head = lines.us[-1] + 1
         pos = end

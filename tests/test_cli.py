@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ import pytest
 from mpturan import cli
 from mpturan.cli import MAX_TABLE_ROWS, main
 from mpturan.constructions import sliced_blowup
+from mpturan.errors import GraphStructureError
+from mpturan.graphio import from_dimacs, graph_to_json_dict, loads_graph, to_dimacs
 
 
 def run(capsys, *argv):
@@ -153,6 +156,87 @@ def test_construct_verify_at_full_size(tmp_path, capsys):
     )
     assert [p["verdict"] for p in doc["properties"]] == [True] * 3
     assert doc["graph_digest"] == sliced_blowup(200, 13, 3).graph.digest()
+
+
+def test_construct_and_verify_hold_a_large_file_at_most_once(tmp_path, capsys):
+    """``construct`` streams the 24.7 MB DIMACS file of sliced(200, 13, 3)
+    and ``verify`` reads it as bytes: traced peaks below 0.25 and 1.25 times
+    the file's size, where joining the text and reading it as text peaked
+    at about 2.0 times each."""
+    path = tmp_path / "sliced.dimacs"
+    construct = ["construct", "--method", "sliced", "--n", "200", "--r", "13", "--t", "3",
+                 "--format", "dimacs", "--out", str(path)]
+    verify = ["verify", "--in", str(path), "--claim", "min_degree=1660"]
+    peaks = []
+    for argv in (construct, verify):
+        assert run(capsys, *argv)[0] == 0  # warms what a first call builds
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    capsys.readouterr()
+    size = path.stat().st_size
+    assert peaks[0] < 0.25 * size
+    assert peaks[1] < 1.25 * size
+    assert path.read_bytes() == to_dimacs(sliced_blowup(200, 13, 3).graph).encode()
+
+
+# (method, n, r, t) for every method over the grid of acceptance criterion 1:
+# t = 3..5, t < r <= 4t, n = 1..10
+_ACCEPTANCE_GRID = [
+    (method, n, r, t)
+    for t in (3, 4, 5)
+    for r in range(t + 1, 4 * t + 1)
+    for n in range(1, 11)
+    for method in cli._METHODS
+]
+
+
+def _construct_both_ways(capsys, path, method, n, r, t, fmt):
+    """Exit code, stdout, and the bytes of ``--out``, of ``construct``."""
+    argv = ["construct", "--method", method, "--n", str(n), "--r", str(r), "--t", str(t),
+            "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--out", str(path))[0] == code
+    return code, out, path.read_bytes() if code == 0 else None
+
+
+def test_construct_streams_the_bytes_of_to_dimacs(tmp_path, capsys):
+    built = 0
+    for method, n, r, t in _ACCEPTANCE_GRID:
+        code, out, data = _construct_both_ways(
+            capsys, tmp_path / "g.col", method, n, r, t, "dimacs"
+        )
+        if code == 0:
+            g = cli._METHODS[method](argparse.Namespace(n=n, r=r, t=t, k=2)).graph
+            text = to_dimacs(g)
+            assert (out, data) == (text, text.encode()), (method, n, r, t)
+            built += 1
+    assert built > 700
+
+
+def test_construct_streams_the_bytes_of_json_dumps(tmp_path, capsys):
+    # the pure-Python encoder that indenting takes is slow, so the grid
+    # stops at n = 3, and sliced(60, 10, 3) gives a document of several
+    # write batches
+    grid = [c for c in _ACCEPTANCE_GRID if c[1] <= 3] + [("sliced", 60, 10, 3)]
+    built = 0
+    for method, n, r, t in grid:
+        code, out, data = _construct_both_ways(
+            capsys, tmp_path / "g.json", method, n, r, t, "json"
+        )
+        if code == 0:
+            doc = json.loads(data)
+            g = cli._METHODS[method](argparse.Namespace(n=n, r=r, t=t, k=2)).graph
+            assert doc["graph"] == graph_to_json_dict(g)
+            text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            assert (out, data) == (text, text.encode()), (method, n, r, t)
+            built += 1
+    assert built > 200
+    assert len(data) > 2 * 2**20
 
 
 def test_verify_false_claim_exit_code(tmp_path, capsys):
@@ -447,6 +531,54 @@ def test_verify_malformed_input_exit_code(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def _text_mode_read(path):
+    """The graph file reader that read text: a text-mode read, then JSON
+    when the text starts with ``{`` after whitespace, else DIMACS."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphStructureError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return loads_graph(text) if text.lstrip().startswith("{") else from_dimacs(text)
+
+
+_JSON_EDGE = '{"schema_version": 1, "part_sizes": [1, 1], "edges": [[0, 1]]}'
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"c part-sizes 1 1\ne 1 \xff 2\n",
+        b"c part-sizes 1 1\nc caf\xc3",
+        "c \u00e9\n".encode() + b"c \xed\xa0\x80\nc part-sizes 1 1\n",
+        b"\xef\xbb\xbfc part-sizes 1 1\n",
+        b"\xef\xbb\xbf" + _JSON_EDGE.encode(),
+        "c part-sizes 1 1\r\ne 1\u00a02\r\n".encode(),
+        b"c part-sizes 1 1\re 1 2\re 1 0\r",
+        b"\r\n" + _JSON_EDGE.replace(", ", ",\r\n").encode(),
+        _JSON_EDGE.replace(", ", ",\r\n").replace("]]", "],]").encode(),
+        _JSON_EDGE.replace(", ", ",\r").replace("]]", "]] x").encode(),
+        b" \t\x0b\x0c\n" + _JSON_EDGE.encode(),
+        b"\x1c\x1f" + _JSON_EDGE.encode(),
+        "\u2028\u3000 ".encode() + _JSON_EDGE.encode(),
+        "\u00a0{".encode(),
+        b"\x1c c part-sizes 1 1\n",
+    ],
+)
+def test_verify_reads_files_as_the_text_reader_did(tmp_path, capsys, data):
+    # the same graph, or exactly the same message on exit 2
+    path = tmp_path / "g.in"
+    path.write_bytes(data)
+    try:
+        g = _text_mode_read(path)
+    except GraphStructureError as exc:
+        code, out, err = run(capsys, "verify", "--in", str(path), "--claim", "kfree=3")
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
+    else:
+        assert cli._read_graph_file(str(path)) == g
 
 
 @pytest.mark.parametrize(

@@ -342,6 +342,12 @@ def test_write_text_replaces_longer_contents(tmp_path):
     assert path.read_bytes() == b"short\n"
     write_text(path, "caf\u00e9\n")
     assert path.read_bytes() == "caf\u00e9\n".encode("utf-8")
+    # pieces past one batch, then a shorter text over them
+    pieces = ["caf\u00e9 " * 1000] * 300
+    write_text(path, iter(pieces))
+    assert path.read_bytes() == "".join(pieces).encode("utf-8")
+    write_text(path, ["short", "\n"])
+    assert path.read_bytes() == b"short\n"
 
 
 def test_write_text_to_a_device():
@@ -540,6 +546,60 @@ def test_edited_dimacs_reads_like_the_reference(g, edits):
     assert read_outcome(from_dimacs, text) == read_outcome(reference_parse, text)
 
 
+# line breaks and spaces that str.splitlines and str.split know and a
+# bytes reader might not, and leads of blank lines and non-ASCII comments
+_SEPARATORS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029", "\xa0", "\u3000", "\t"]
+_LEADS = ["", "\n", "\n\n", "\r\n \n", "c caf\u00e9 \u00fcber \u4e2d\n", "\n\u3000\nc \u2603\n"]
+
+
+def message_or_graph(read, data):
+    try:
+        return read(data)
+    except GraphStructureError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    multipartite_graphs(),
+    st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_SEPARATORS)), max_size=4),
+    st.sampled_from(_LEADS),
+    st.booleans(),
+)
+def test_from_dimacs_reads_bytes_as_it_reads_text(g, inserts, lead, crlf):
+    text = to_dimacs(g)
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    for i, extra in inserts:
+        i %= len(text) + 1
+        text = text[:i] + extra + text[i:]
+    text = lead + text
+    data = text.encode("utf-8")
+    assert message_or_graph(from_dimacs, data) == message_or_graph(from_dimacs, text)
+    assert read_outcome(from_dimacs, data) == read_outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"c part-sizes 1 1\nc \xff\n",
+        "c part-sizes 1 1\nc caf\u00e9\n".encode() + b"e 1 \xc3",
+        # past the reader's first window of bytes
+        b"c part-sizes 1 1\n" + b"e 1 2\n" * 50000 + b"c \xe2\x82\n",
+    ],
+    ids=["invalid-start", "truncated", "past-window"],
+)
+def test_from_dimacs_refuses_bytes_that_are_not_utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        expected = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    with pytest.raises(GraphStructureError) as raised:
+        from_dimacs(data)
+    assert str(raised.value) == expected
+
+
 def _record_parsed_blocks(monkeypatch):
     """Make ``from_dimacs`` record each block it parses line by line."""
     blocks = []
@@ -608,6 +668,19 @@ def test_from_dimacs_blocks_after_a_vertex_without_run_stay_small(monkeypatch):
     assert _line_count(blocks) <= 1622
     longest = max(len(block) for block in blocks)
     assert longest <= (1 << 16) + len(max(text.splitlines(), key=len)) + 1
+
+
+def test_from_dimacs_reads_runs_after_vertices_without_one_in_one_split(monkeypatch):
+    # the even vertices of part 0 join all of part 1 and the odd ones join
+    # nothing, so no run is followed by the next vertex's; each run is still
+    # a block of its own, and only the two header lines are parsed one by one
+    g = from_edges([200, 2000], [(u, v) for u in range(0, 200, 2) for v in range(200, 2200)])
+    text = to_dimacs(g)
+    blocks = _record_parsed_blocks(monkeypatch)
+    groups = _record_groups(monkeypatch)
+    assert from_dimacs(text) == g
+    assert _line_count(blocks) == 2
+    assert _split_count(groups) == 200000
 
 
 def test_from_dimacs_checks_repeated_run_ids_before_allocating():
