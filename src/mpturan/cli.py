@@ -38,8 +38,7 @@ from .constructions import (
     turan_blowup,
 )
 from .errors import DomainError, GraphStructureError, InternalConsistencyError, SizeCapError
-from .graphio import _batches, dimacs_chunks, from_dimacs, graph_to_json_dict, loads_graph
-from .graphio import write_text
+from .graphio import dimacs_chunks, from_dimacs, graph_to_json_dict, loads_graph, write_text
 # not called here, but the benchmark's tracer wraps it by this module's name
 from .graphio import to_dimacs  # noqa: F401
 from .graphs import MAX_VERTICES, MultipartiteGraph
@@ -82,14 +81,19 @@ def _jobs(flag: int | None) -> int | None:
 
 def _stream(chunks: Iterable[str], out: str | None) -> None:
     """Write the concatenation of ``chunks`` to ``out``, or to stdout without
-    one, a batch at a time."""
-    if not out:
-        sys.stdout.writelines(_batches(chunks))
-        return
+    one."""
     try:
-        write_text(out, chunks)
+        if out:
+            write_text(out, chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
     except OSError as exc:
-        raise DomainError(f"cannot write {out}: {exc.strerror}") from None
+        if not out:
+            # the interpreter flushes stdout again as it exits; a failing
+            # flush there would print a second report
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise DomainError(f"cannot write {out or 'standard output'}: {exc.strerror}") from None
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -11,8 +11,8 @@ Two formats:
   of ``e h v`` lines under one head in one split and skips the runs of its
   twins.
 
-``write_text`` writes any text given in pieces, a batch at a time, so a
-streamed DIMACS or JSON file is never held whole in memory.
+``write_text`` writes any text given in pieces through the file's text
+buffer, so a streamed DIMACS or JSON file is never held whole in memory.
 
 Both readers accept at most ``MAX_VERTICES`` vertices, and any text either
 gives a graph or raises ``GraphStructureError``.
@@ -94,44 +94,28 @@ def loads_graph(text: str) -> MultipartiteGraph:
     return graph_from_json_dict(doc)
 
 
-_BATCH = 1 << 20
-"""Characters that ``write_text`` joins, encodes and writes at once."""
-
-
-def _batches(chunks: Iterable[str]) -> Iterator[str]:
-    """``chunks`` joined into strings of at least ``_BATCH`` characters, the
-    last one excepted."""
-    pending, size = [], 0
-    for chunk in chunks:
-        pending.append(chunk)
-        size += len(chunk)
-        if size >= _BATCH:
-            batch = "".join(pending)
-            pending.clear()
-            size = 0
-            yield batch
-    yield "".join(pending)
-
-
 def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     """Replace the contents of ``path`` with the concatenation of ``chunks``,
     a string or any iterable of strings, as UTF-8.
 
-    The chunks are joined and encoded in batches of about ``_BATCH``
-    characters, so the text is never held whole. The file is opened without
-    O_TRUNC: truncating a file whose last contents are not yet written back
-    makes the open wait for that writeback. Every byte is written first, and
-    a regular file is then cut to the new length. Other targets, such as
-    ``/dev/stdout`` or a FIFO, are written in place; the path itself is never
-    unlinked or replaced.
+    The chunks go through the file object's own buffer, so the text is
+    never held whole. The file is opened without O_TRUNC: truncating a file
+    whose last contents are not yet written back makes the open wait for
+    that writeback. A regular file is cut at the end of the bytes written,
+    also when a chunk or a write fails, so no old tail is left behind the
+    new text. Other targets, such as ``/dev/stdout`` or a FIFO, are written
+    in place; the path itself is never unlinked or replaced.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        size = 0
-        for batch in _batches(chunks):
-            size += fh.write(batch.encode("utf-8"))
-        fh.flush()
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            os.ftruncate(fh.fileno(), size)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh.writelines((chunks,) if isinstance(chunks, str) else chunks)
+            fh.flush()
+        finally:
+            # after a failure, what the buffer still holds is written at
+            # the cut when the file closes
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def dimacs_chunks(g: MultipartiteGraph) -> Iterator[str]:
@@ -164,8 +148,9 @@ def to_dimacs(g: MultipartiteGraph) -> str:
 
 
 _WINDOW = 1 << 18
-"""Bytes searched for the end of a block that is not a run; a block with no
-end in them ends at the next newline after them, so that a large file never
+"""Bytes a block that is not a run may span: it ends at the first edge line
+within them, or, where none is in them or it starts with an edge line that
+is not a run, at the next newline after them, so that a large file never
 becomes one list of millions of lines."""
 
 _RUN = re.compile(rb"e (\d{1,10}) \d+\r?\n(?:e \1 \d+\r?\n){0,%d}" % (MAX_VERTICES - 2))
@@ -235,39 +220,25 @@ def from_dimacs(data: bytes | str) -> MultipartiteGraph:
     surrogates, so that any string reads as text.
 
     The bytes are read in blocks. A run, one match of ``_RUN`` under a head
-    h, is a block of its own unless the next line carries on under h; it is
-    read in one split: its neighbors are every third field, and
-    ``from_edges`` receives the run as one group. The run then becomes a
-    template, kept as its text split on its line prefix ``e h ``. Where the
-    bytes continue with those pieces joined by ``e h+1 ``, those lines are
-    counted but not parsed: they are the template's edges with the new head,
-    which joins the template's group. Any other block ends where the writer
-    would start the next vertex's run, and is decoded and given to one
-    per-line parser; so is a run with an id that the parser would refuse, so
-    that each error names its line as that parser does.
+    h, is a block of its own, read in one split: its neighbors are every
+    third field, and ``from_edges`` receives the run as one group. The run
+    then becomes a template, kept as its text split on its line prefix
+    ``e h ``. Where the bytes continue with those pieces joined by
+    ``e h+1 ``, those lines are counted but not parsed: they are the
+    template's edges with the new head, which joins the template's group.
+    Any other block ends at the first edge line, or spans ``_WINDOW`` bytes
+    when it starts with one, and is decoded and given to one per-line
+    parser; so is a run with an id that the parser would refuse, so that
+    each error names its line as that parser does.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
     lines = _LineParser()
     groups: list[tuple[list[int], array]] = []
     pos, end_of_text = 0, len(data)
-    head = 0  # 1-based head of the last edge line or run
-    template: tuple[list[str], list[int], array] | None = None
     while pos < end_of_text:
-        if template is not None:
-            pieces, heads, neighbors = template
-            # a str join and one encode beat joining bytes pieces
-            candidate = f"e {head + 1} ".join(pieces).encode()
-            if data.startswith(candidate, pos):
-                heads.append(head)
-                pos += len(candidate)
-                lines.lineno += len(neighbors)
-                head += 1
-                continue
-        template = None
         run = _RUN.match(data, pos)
-        prefix = run and b"e " + run[1] + b" "
-        if run and not data.startswith(prefix, run.end()):
+        if run:
             # the run is one block, its neighbors every third field; an id
             # that fits no 0-based "I" entry leaves the block to the line
             # parser, which names its line
@@ -280,20 +251,20 @@ def from_dimacs(data: bytes | str) -> MultipartiteGraph:
                 pass
             else:
                 groups.append((heads, neighbors))
-                lines.lineno += len(neighbors)
-                head, pos = heads[0] + 1, end
-                # ``e h `` opens each line of the run and occurs nowhere
-                # else in it, so the run is its pieces joined by that prefix
-                template = (run[0].decode().split(prefix.decode()), heads, neighbors)
+                # ``e h `` opens each line of the run and occurs nowhere else
+                # in it, so a twin's run is its pieces joined by ``e h+1 ``;
+                # a str join and one encode beat joining bytes pieces
+                pieces = run[0].decode().split(f"e {run[1].decode()} ")
+                while data.startswith(twin := f"e {heads[-1] + 2} ".join(pieces).encode(), end):
+                    heads.append(heads[-1] + 1)
+                    end += len(twin)
+                lines.lineno += len(heads) * len(neighbors)
+                pos = end
                 continue
         else:
-            # the block runs up to the next vertex's run: the vertex after
-            # the head of a run that goes on under that head, after head + 1
-            # where pos starts another edge line, and the first edge line
-            # where pos starts none (the header, or a comment)
-            nxt = int(run[1]) + 1 if run else head + 2
-            stop = b"\ne %d " % nxt if data.startswith(b"e ", pos) else b"\ne "
-            end = data.find(stop, pos, pos + _WINDOW)
+            # an edge line here is one the writer would not write, as are
+            # likely the lines after it, so they are not one block each
+            end = -1 if data.startswith(b"e ", pos) else data.find(b"\ne ", pos, pos + _WINDOW)
             if end < 0:
                 end = data.find(b"\n", pos + _WINDOW)
             end = end_of_text if end < 0 else end + 1
@@ -303,10 +274,7 @@ def from_dimacs(data: bytes | str) -> MultipartiteGraph:
             raise GraphStructureError(
                 f"not UTF-8 text ({exc.reason} at byte {pos + exc.start})"
             ) from None
-        first_edge = len(lines.us)
         lines.parse(block)
-        if len(lines.us) > first_edge:
-            head = lines.us[-1] + 1
         pos = end
     if lines.part_sizes is None:
         raise GraphStructureError(

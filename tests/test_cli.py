@@ -220,8 +220,7 @@ def test_construct_streams_the_bytes_of_to_dimacs(tmp_path, capsys):
 
 def test_construct_streams_the_bytes_of_json_dumps(tmp_path, capsys):
     # the pure-Python encoder that indenting takes is slow, so the grid
-    # stops at n = 3, and sliced(60, 10, 3) gives a document of several
-    # write batches
+    # stops at n = 3, and sliced(60, 10, 3) gives a document of several MiB
     grid = [c for c in _ACCEPTANCE_GRID if c[1] <= 3] + [("sliced", 60, 10, 3)]
     built = 0
     for method, n, r, t in grid:
@@ -424,6 +423,36 @@ def test_oracle_audit_jobs_over_the_cap():
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+def _construct_to(stdout):
+    """Run ``construct`` of a 1.1 MB DIMACS file in a fresh process with
+    ``stdout`` as its standard output."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "mpturan.cli", "construct", "--method", "sliced",
+         "--n", "60", "--r", "10", "--t", "3", "--format", "dimacs"],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+
+
+def test_construct_to_a_closed_pipe_exits_2_with_one_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _construct_to(write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_construct_to_a_full_device_exits_2_with_one_line():
+    with open("/dev/full", "w") as full:
+        proc = _construct_to(full)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: No space left on device\n"
 
 
 def test_oracle_search_deeper_than_the_recursion_limit(capsys):

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from graph_strategies import multipartite_graphs
@@ -354,6 +355,30 @@ def test_write_text_to_a_device():
     write_text(os.devnull, "discarded\n")
 
 
+def test_write_text_of_no_chunks_empties_the_file(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text(path, "old contents\n")
+    write_text(path, [])
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("size", [10, 3 << 20])
+def test_write_text_leaves_no_old_tail_when_a_chunk_fails(tmp_path, size):
+    # the new text, short or past the file object's buffer, then a failure,
+    # over a file twice as long
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"x" * (2 * size))
+    text = "caf\u00e9\n" * (size // 6)
+
+    def failing_chunks():
+        yield text
+        raise RuntimeError("no more chunks")
+
+    with pytest.raises(RuntimeError, match="no more chunks"):
+        write_text(path, failing_chunks())
+    assert path.read_bytes() == text.encode("utf-8")
+
+
 def _twins_text(count, edits=()):
     """Vertices 1 to ``count`` are twins of part 0, each joined to the two
     vertices of part 1. Each (vertex, text) in ``edits`` replaces that
@@ -681,6 +706,30 @@ def test_from_dimacs_reads_runs_after_vertices_without_one_in_one_split(monkeypa
     assert from_dimacs(text) == g
     assert _line_count(blocks) == 2
     assert _split_count(groups) == 200000
+
+
+def test_from_dimacs_reads_trailing_space_files_in_windows(monkeypatch):
+    # no line matches a run, so after the header the lines go to the parser
+    # a window of bytes at a time, not one block per line or per vertex
+    g = sliced_blowup(60, 10, 3).graph
+    text = to_dimacs(g).replace("\n", " \n")
+    blocks = _record_parsed_blocks(monkeypatch)
+    assert from_dimacs(text) == g
+    assert len(blocks) == 6
+    assert blocks[0] == text[: text.index("\ne ") + 1]
+    longest = len(max(text.splitlines(keepends=True), key=len))
+    assert all(graphio._WINDOW <= len(b) < graphio._WINDOW + longest for b in blocks[1:-1])
+
+
+def test_from_dimacs_reads_a_run_in_one_split_before_a_line_under_its_head(monkeypatch):
+    # vertex 1's run, lines 3-5, is followed by a line under head 1 with
+    # another spacing; the run is still one group, read in one split
+    text = twin_text([(5, "e 1 7\ne 1  8")])
+    groups = _record_groups(monkeypatch)
+    g = from_dimacs(text)
+    assert g == reference_parse(text)
+    assert groups[0] == ([0], array("I", [4, 5, 6]))
+    assert _split_count(groups) == 3
 
 
 def test_from_dimacs_checks_repeated_run_ids_before_allocating():
