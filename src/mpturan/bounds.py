@@ -22,9 +22,8 @@ the r x t matrix counting the vertices of each part in each color.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, NotApplicableError
 
@@ -205,8 +204,7 @@ def _transfers(n: int, r: int, t: int, m: int, a: int) -> bool:
 # -- the table of bound families -----------------------------------------
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """One bound family.
 
     ``role`` is "lower", "upper" or "exact" (both at once). ``guard`` takes
@@ -396,8 +394,7 @@ def odd_t_gap(n: int, t: int) -> bool:
 # -- aggregation -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     """One bound with its provenance tag.
 
     ``conditions_met`` is False for values recorded for explanation only,
@@ -410,8 +407,7 @@ class Bound:
     conditions_met: bool = True
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Everything known about one instance (n, r, t).
 
     ``status`` is "exact" when the best certified lower and upper bounds
@@ -427,7 +423,7 @@ class BoundReport:
     upper_bounds: tuple[Bound, ...]
     exact: int | None
     status: str
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     @property
     def best_lower(self) -> int:

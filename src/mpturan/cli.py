@@ -21,12 +21,12 @@ import argparse
 import json
 import os
 import re
+import stat
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from pathlib import Path
 
 from .bounds import _check_composition, _composition_slice, best_known_bounds, ceil_div
 from .constructions import (
@@ -41,7 +41,7 @@ from .errors import DomainError, GraphStructureError, InternalConsistencyError, 
 from .graphio import dimacs_chunks, from_dimacs, graph_to_json_dict, loads_graph, write_text
 # not called here, but the benchmark's tracer wraps it by this module's name
 from .graphio import to_dimacs  # noqa: F401
-from .graphs import MAX_VERTICES, MultipartiteGraph
+from .graphs import MAX_INPUT_BYTES, MAX_VERTICES, MultipartiteGraph
 from .oracle import DEFAULT_CAP, duality_audit, oracle_delta, oracle_f
 from .verifier import _CLAIMS, REFUTED, _check_claim_kinds, aes_check, certify
 
@@ -191,12 +191,38 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 _SPACE = re.compile(r"\s*")
 _ASCII_SPACE = re.compile(rb"[\s\x1c-\x1f]*")
 
+# what a pipe or a device is read by, per call, on its way to the byte cap
+_READ_BLOCK = 1 << 20
+
+
+def _read_bytes(path: str) -> bytes:
+    """The bytes of the file at ``path``, refused past ``MAX_INPUT_BYTES``.
+
+    A regular file's size is checked before its one read. A pipe or a
+    device has no size, so it is read in blocks until it ends or passes the
+    cap.
+    """
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        if stat.S_ISREG(info.st_mode):
+            total = info.st_size
+            data = f.read() if total <= MAX_INPUT_BYTES else b""
+        else:
+            blocks, total = [], 0
+            while total <= MAX_INPUT_BYTES and (block := f.read(_READ_BLOCK)):
+                blocks.append(block)
+                total += len(block)
+            data = b"".join(blocks)
+    if total > MAX_INPUT_BYTES:
+        raise DomainError(f"{path} is longer than the limit of {MAX_INPUT_BYTES} bytes")
+    return data
+
 
 def _read_graph_file(path: str) -> MultipartiteGraph:
     """The graph in the file at ``path``: a JSON graph document when its
     first non-whitespace character is ``{``, else DIMACS, read as bytes."""
     try:
-        data = Path(path).read_bytes()
+        data = _read_bytes(path)
         # ASCII is UTF-8 as it stands; other bytes are decoded once to check
         text = None if data.isascii() else data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -207,6 +233,8 @@ def _read_graph_file(path: str) -> MultipartiteGraph:
         raise DomainError(f"{path} is a directory, not a graph file") from None
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+    except MemoryError:
+        raise DomainError(f"cannot read {path}: not enough memory") from None
     if text is None:
         is_json = data.startswith(b"{", _ASCII_SPACE.match(data).end())
     else:

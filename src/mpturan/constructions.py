@@ -20,8 +20,8 @@ inputs produce identical edge sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bounds import (
     _BY_NAME,
@@ -46,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConstructionOutput:
+class ConstructionOutput(NamedTuple):
     """A built graph plus the properties it was built to have.
 
     ``coloring`` is the witness partition for the chromatic constructions

@@ -19,9 +19,8 @@ Graphs are immutable once built.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GraphStructureError
 
@@ -32,6 +31,7 @@ __all__ = [
     "complete_multipartite",
     "from_edges",
     "MAX_VERTICES",
+    "MAX_INPUT_BYTES",
 ]
 
 MAX_VERTICES = 1 << 14
@@ -42,6 +42,15 @@ it converts, so 2**14 vertices bound what a malformed or hostile graph file
 can make a reader allocate to about 64 MiB. That is more than six times the
 2600-vertex constructions verified routinely, and a dense graph at the
 limit already needs a DIMACS file of over a gigabyte.
+"""
+
+MAX_INPUT_BYTES = 1 << 31
+"""Largest graph file ``mpturan verify`` reads, in bytes.
+
+The densest graph within ``MAX_VERTICES``, 2**14 parts of one vertex, is
+1,697,016,710 bytes of DIMACS as ``to_dimacs`` writes it, so every graph the
+readers accept fits. A longer regular file is refused by its size before it
+is read, and a pipe or a device as soon as it has sent more.
 """
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -284,21 +293,26 @@ def from_edges(
     return g
 
 
-@dataclass(frozen=True)
-class ColorPartition:
-    """Vertex coloring with 0-based colors; classes may be empty."""
-
+class _Coloring(NamedTuple):
     colors: tuple[int, ...]
     num_colors: int
 
-    def __post_init__(self) -> None:
-        if self.num_colors < 1:
+
+class ColorPartition(_Coloring):
+    """Vertex coloring with 0-based colors; classes may be empty."""
+
+    __slots__ = ()
+
+    def __new__(cls, colors: tuple[int, ...], num_colors: int) -> ColorPartition:
+        # a NamedTuple cannot define __new__ itself, so the check lives here
+        if num_colors < 1:
             raise GraphStructureError("a coloring needs at least one color")
-        for v, c in enumerate(self.colors):
-            if not 0 <= c < self.num_colors:
+        for v, c in enumerate(colors):
+            if not 0 <= c < num_colors:
                 raise GraphStructureError(
-                    f"vertex {v} has color {c}, outside [0, {self.num_colors})"
+                    f"vertex {v} has color {c}, outside [0, {num_colors})"
                 )
+        return super().__new__(cls, colors, num_colors)
 
     def class_masks(self) -> dict[int, int]:
         """Vertex mask of each color in use, so the size is the graph's."""

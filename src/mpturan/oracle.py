@@ -57,14 +57,15 @@ at the answer still runs the search, so the witnesses are unchanged.
 Every solve is one serial search. ``duality_audit`` with ``jobs`` above
 1 runs its f and delta solves side by side in a pool of two processes;
 each side is that same search, so values and witnesses are the serial
-ones.
+ones. The stdlib pool is imported when the first such audit opens one,
+so importing this module, and every ``mpturan`` command, pays nothing
+for ``concurrent.futures`` and ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InternalConsistencyError, SizeCapError
 from .graphs import MultipartiteGraph, complete_multipartite
@@ -86,8 +87,27 @@ MODE_DELTA = "delta"
 DEFAULT_CAP = 10
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class ProcessPoolExecutor:
+    """``concurrent.futures.ProcessPoolExecutor``, imported when the first
+    pool opens. Only a pooled audit opens one, and the import, with
+    ``multiprocessing``, would otherwise cost every process's start-up."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        import concurrent.futures
+
+        self._pool = concurrent.futures.ProcessPoolExecutor(*args, **kwargs)
+
+    def submit(self, fn, /, *args, **kwargs):
+        return self._pool.submit(fn, *args, **kwargs)
+
+    def __enter__(self) -> ProcessPoolExecutor:
+        return self
+
+    def __exit__(self, *exc) -> bool | None:
+        return self._pool.__exit__(*exc)
+
+
+class OracleResult(NamedTuple):
     """Exhaustively computed extremal value with an optimal witness."""
 
     mode: str

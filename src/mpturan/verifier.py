@@ -24,9 +24,8 @@ share a color, so a blow-up shrinks to a few classes per part.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bounds import aes_threshold
 from .errors import DomainError, UnknownClaimError
@@ -275,8 +274,7 @@ def aes_check(g: MultipartiteGraph, t: int) -> str:
 
 # -- certificates ------------------------------------------------------
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(NamedTuple):
     """Outcome of one claim: verdict plus a re-checkable witness.
 
     Positive claims (colorable) carry the object found; refuted negative
@@ -298,8 +296,7 @@ class PropertyCheck:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Verdicts for a batch of claims against one graph."""
 
     graph_digest: str

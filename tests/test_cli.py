@@ -455,6 +455,57 @@ def test_construct_to_a_full_device_exits_2_with_one_line():
     assert proc.stderr == "error: cannot write standard output: No space left on device\n"
 
 
+def test_verify_refuses_a_file_one_byte_over_the_cap(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.col"
+    path.write_text(to_dimacs(sliced_blowup(3, 5, 3).graph))
+    size = path.stat().st_size
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size)
+    assert run(capsys, "verify", "--in", str(path), "--claim", "kfree=4")[0] == 0
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size - 1)
+    # the size refuses the file before any of it is parsed
+    monkeypatch.setattr(cli, "from_dimacs", None)
+    code, out, err = run(capsys, "verify", "--in", str(path), "--claim", "kfree=4")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} is longer than the limit of {size - 1} bytes\n"
+
+
+def _verify_dev_zero_in_bounded_memory(cap=None):
+    """``verify --in /dev/zero`` in a fresh process limited to 128 MiB of
+    address space, so that an unbounded read fails fast; ``cap`` replaces
+    ``MAX_INPUT_BYTES`` there."""
+    probe = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"
+        "from mpturan import cli\n"
+        f"cli.MAX_INPUT_BYTES = {cap} or cli.MAX_INPUT_BYTES\n"
+        "sys.exit(cli.main(['verify', '--in', '/dev/zero', '--claim', 'kfree=3']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+_NEEDS_DEV_ZERO = pytest.mark.skipif(
+    not os.path.exists("/dev/zero") or sys.platform != "linux", reason="needs Linux /dev/zero"
+)
+
+
+@_NEEDS_DEV_ZERO
+def test_verify_refuses_an_endless_device_at_the_cap():
+    proc = _verify_dev_zero_in_bounded_memory(cap=8 << 20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: /dev/zero is longer than the limit of {8 << 20} bytes\n"
+
+
+@_NEEDS_DEV_ZERO
+def test_verify_of_an_endless_device_without_the_memory_for_the_cap_exits_2():
+    # the cap is 2 GiB, more than this process may hold: exit 2, no traceback
+    proc = _verify_dev_zero_in_bounded_memory()
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: cannot read /dev/zero: not enough memory\n"
+
+
 def test_oracle_search_deeper_than_the_recursion_limit(capsys):
     # 990 cross pairs, one search frame each
     limit = sys.getrecursionlimit()
@@ -900,3 +951,21 @@ def test_importing_the_cli_builds_no_parser():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+def test_importing_the_cli_loads_no_pool_and_no_dataclasses():
+    # only a pooled audit needs the process pool, which imports it when it
+    # opens one; the records are NamedTuples, so nothing loads dataclasses
+    # and the inspect, ast and dis modules behind it
+    probe = (
+        "import sys\n"
+        "import mpturan.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'dataclasses',"
+        " 'inspect') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -21,7 +21,7 @@ from mpturan.graphio import (
     to_dimacs,
     write_text,
 )
-from mpturan.graphs import MAX_VERTICES, complete_multipartite, from_edges
+from mpturan.graphs import MAX_INPUT_BYTES, MAX_VERTICES, complete_multipartite, from_edges
 
 
 def reference_dimacs(g):
@@ -292,6 +292,23 @@ def test_vertex_limit_in_both_formats():
     doc = {"schema_version": 1, "part_sizes": [too_many], "edges": []}
     with pytest.raises(GraphStructureError, match="limit"):
         loads_graph(json.dumps(doc))
+
+
+def _complete_graph_dimacs_bytes(n):
+    """Length of ``to_dimacs`` of n parts of one vertex, every cross pair an
+    edge, counted without writing it: each vertex name appears on n - 1
+    lines of the form ``e u v``."""
+    names = sum(len(str(v)) for v in range(1, n + 1))
+    header = len("c part-sizes \n") + 2 * n - 1 + len(f"p edge {n} {n * (n - 1) // 2}\n")
+    return header + 4 * (n * (n - 1) // 2) + names * (n - 1)
+
+
+def test_the_densest_file_within_the_vertex_limit_fits_the_byte_cap():
+    for n in (1, 2, 9, 10, 150):
+        graph = complete_multipartite([1] * n)
+        assert _complete_graph_dimacs_bytes(n) == len(to_dimacs(graph))
+    assert _complete_graph_dimacs_bytes(MAX_VERTICES) == 1_697_016_710
+    assert _complete_graph_dimacs_bytes(MAX_VERTICES) < MAX_INPUT_BYTES
 
 
 _DIMACS_TOKENS = st.one_of(
