@@ -459,8 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        help="run an audit's f and delta searches in two processes "
-        "(default: MPTURAN_JOBS, else serial)",
+        help="run an audit's one search in a worker process, which gains "
+        "nothing and is slated for removal (default: MPTURAN_JOBS, else serial)",
     )
     p.add_argument("--seed", type=int, help="shuffle the pair order deterministically")
     _add_common_output(p, ("text", "json"))

@@ -8,15 +8,15 @@ driven by a DFS over the cross pairs in part-major order:
 * ``oracle_delta``: the smallest maximum degree among graphs in which
   every crossing set of s vertices (one per part, at most) spans an edge.
 
-Both run one decision search, for a graph with no clique on ``size``
-vertices and minimum degree at least a target. The cross complement
-exchanges the two problems: it turns the crossing independent sets of a
-graph into cliques and a maximum degree of delta into a minimum degree
-of (r - 1)n - delta. So mode delta runs the search on the complement,
-exclude branch first, and complements the witness it finds.
-``duality_audit`` checks that the values mirror each other; since both
-come from the one search, its independent part is the verifier's
-re-check of each complemented witness.
+Both run one decision search, for a graph H with no clique on ``size``
+vertices and minimum degree at least a target, which decides each pair
+exclude first. Mode f returns H. The cross complement exchanges the two
+problems: it turns the cliques of H into the crossing independent sets
+of its complement, and a minimum degree of f into a maximum degree of
+(r - 1)n - f. So mode delta returns the cross complement of H.
+``duality_audit`` runs the search once and re-checks its witness and
+that witness's complement with the verifier; those checks are the
+audit's independent part.
 
 The search is exact but exponential, so instances are capped at a
 small vertex count by default; the cap is a safety rail, not a
@@ -55,11 +55,11 @@ is refuted without a search. The argument uses no closed form of
 at the answer still runs the search, so the witnesses are unchanged.
 
 Every solve is one serial search. ``duality_audit`` with ``jobs`` above
-1 runs its f and delta solves side by side in a pool of two processes;
-each side is that same search, so values and witnesses are the serial
-ones. The stdlib pool is imported when the first such audit opens one,
-so importing this module, and every ``mpturan`` command, pays nothing
-for ``concurrent.futures`` and ``multiprocessing``.
+1 runs that one search in a pool of one worker process, so its values
+and witness are the serial ones; the pool overlaps nothing and is slated
+for removal with ``--jobs``. The stdlib pool is imported when the first
+such audit opens one, so importing this module, and every ``mpturan``
+command, pays nothing for ``concurrent.futures`` and ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -237,7 +237,6 @@ def _decide(
     r: int,
     size: int,
     bound: int,
-    first: int,
     pairs: list[tuple[int, int]],
     gens: tuple[tuple[int, ...], ...],
 ) -> list[int] | None:
@@ -245,11 +244,11 @@ def _decide(
 
     A graph is feasible when it has no clique on ``size`` vertices and
     minimum degree at least ``bound``. Pairs are decided strictly in list
-    order, each to ``first`` (1 includes, 0 excludes) before the other
-    value. The decided prefix holds 1 where a pair took its ``first``
-    value; assignments that ``gens`` prove not lex-maximal in their orbit
-    under that encoding are pruned. Per child, the guard runs before the
-    lex scan, and the pair is flipped only when both pass.
+    order, each excluded before it is included. The decided prefix holds
+    1 where a pair was excluded; assignments that ``gens`` prove not
+    lex-maximal in their orbit under that encoding are pruned. Per child,
+    the guard runs before the lex scan, and the pair is flipped only when
+    both pass.
     """
     npairs = len(pairs)
     template = complete_multipartite((n,) * r)
@@ -261,7 +260,6 @@ def _decide(
     wrap = template.with_rows
     parts = template.part_masks
     masks = [(u, v, 1 << u, 1 << v) for u, v in pairs]
-    both = ((first, 1), (1 - first, 0))
     a: list[int] = []
 
     def rec(
@@ -288,19 +286,19 @@ def _decide(
         if k == npairs:
             return None
         u, v, bu, bv = masks[k]
-        for val, mark in both:
-            if val:
-                # rows has no clique, so a new one would hold u and v
-                if _clique_in(rows, parts, rows[u] & rows[v], size - 2) is not None:
-                    continue
-                side, child_wit = rows, wit
-            else:
+        for excluded in (1, 0):
+            if excluded:
                 # comp degrees are the most each vertex can still reach
                 if comp[u].bit_count() <= bound or comp[v].bit_count() <= bound:
                     continue
                 side = comp
                 child_wit = None if u in wit and v in wit else wit
-            a.append(mark)
+            else:
+                # rows has no clique, so a new one would hold u and v
+                if _clique_in(rows, parts, rows[u] & rows[v], size - 2) is not None:
+                    continue
+                side, child_wit = rows, wit
+            a.append(excluded)
             child = _lex_scan(scans, a)
             if child is not None:
                 side[u] ^= bv
@@ -329,19 +327,19 @@ def _solve(
 ) -> OracleResult:
     """Binary search for the largest feasible target of ``_decide``.
 
-    Feasibility is monotone downward in the minimum degree target. Mode f
-    asks it of the graph itself, include branch first. Mode delta asks it
-    of the cross complement H of the graph G it wants, exclude branch
-    first: an include in G is an exclude in H, max deg G <= delta exactly
-    when min deg H >= (r - 1)n - delta, and the crossing independent sets
-    of G are the cliques of H. It returns the cross complement of H's
-    witness with value (r - 1)n minus H's. The witness attains the value
-    exactly. The search tries ``_ceiling`` first and never goes above
-    it: there a feasible graph would be t-colorable by the
-    Andrasfai-Erdos-Sos theorem, and its t color classes could not cover
-    all rn vertices, each capped by the slack the target leaves.
-    ``symmetry_reduction=False`` bisects the full range (r - 1)n.
-    Module-level, so that ``duality_audit`` can hand it to a process.
+    Feasibility is monotone downward in the minimum degree target. The
+    one search gives a graph H of largest minimum degree lo with no clique
+    on ``size`` vertices. Mode f returns H with value lo. Mode delta wants
+    the cross complement G of H: the crossing independent sets of G are
+    the cliques of H, and max deg G <= delta exactly when min deg H >=
+    (r - 1)n - delta. So it returns G with value (r - 1)n - lo. The
+    witness attains the value exactly. The search tries ``_ceiling``
+    first and never goes above it: there a feasible graph would be
+    t-colorable by the Andrasfai-Erdos-Sos theorem, and its t color
+    classes could not cover all rn vertices, each capped by the slack the
+    target leaves. ``symmetry_reduction=False`` bisects the full range
+    (r - 1)n. Module-level, so that ``duality_audit`` can hand it to a
+    process.
     """
     if n < 1:
         raise DomainError(f"part size must be >= 1, got n={n}")
@@ -358,7 +356,6 @@ def _solve(
         )
     pairs = _cross_pairs(n, r, seed)
     gens = _position_perms(n, r, pairs) if symmetry_reduction else ()
-    first = 1 if mode == MODE_F else 0
 
     # the empty graph is feasible at target 0, and target 0 is the answer
     # only when size is 2, where it is the one feasible graph. The default
@@ -370,7 +367,7 @@ def _solve(
     mid = high if symmetry_reduction else (high + 1) // 2
     lo, best = 0, [0] * (r * n)
     while lo < high:
-        rows = _decide(n, r, size, mid, first, pairs, gens)
+        rows = _decide(n, r, size, mid, pairs, gens)
         if rows is None:
             high = mid - 1
         else:
@@ -433,46 +430,37 @@ def duality_audit(
     symmetry_reduction: bool = True,
     seed: int | None = None,
 ) -> dict:
-    """Check both oracles against each other through the cross complement.
+    """Run the f search once and check it through the cross complement.
 
-    The values must satisfy delta = (r-1)n - f with the same s, and each
-    witness, complemented, must certify the opposite property. Any
-    mismatch is a bug in this package, never a property of the inputs.
-    ``jobs`` above 1 runs the two solves side by side in two processes.
+    The delta result is the cross complement of the f witness, with value
+    (r - 1)n - f. Four checks re-derive both sides from that one graph:
+    the witness has no clique on s vertices and its minimum degree is f,
+    and its complement has no crossing independent set of s vertices and
+    its maximum degree is delta. Any failure is a bug in this package,
+    never a property of the inputs. ``jobs`` above 1 runs the search in a
+    pool of one worker process, with the serial result; the pool overlaps
+    nothing and is slated for removal.
     """
     if jobs is not None and jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     if jobs is not None and jobs > 1:
-        args = (n, r, s, cap, symmetry_reduction, seed)
-        with ProcessPoolExecutor(2) as pool:
-            sides = [pool.submit(_solve, mode, *args) for mode in (MODE_F, MODE_DELTA)]
-            rf, rd = (side.result() for side in sides)
+        with ProcessPoolExecutor(1) as pool:
+            rf = pool.submit(_solve, MODE_F, n, r, s, cap, symmetry_reduction, seed).result()
     else:
-        kw = dict(cap=cap, symmetry_reduction=symmetry_reduction, seed=seed)
-        rf = oracle_f(n, r, s, **kw)
-        rd = oracle_delta(n, r, s, **kw)
-    if rf.value + rd.value != (r - 1) * n:
-        raise InternalConsistencyError(
-            f"duality broken: f={rf.value}, delta={rd.value}, "
-            f"expected sum {(r - 1) * n}"
-        )
-    comp_f = rf.witness.cross_complement()
-    if find_crossing_independent(comp_f, s) is not None:
+        rf = oracle_f(n, r, s, cap=cap, symmetry_reduction=symmetry_reduction, seed=seed)
+    delta = (r - 1) * n - rf.value
+    if find_clique(rf.witness, s) is not None:
+        raise InternalConsistencyError("the clique-free witness contains a forbidden clique")
+    if rf.witness.min_degree() != rf.value:
+        raise InternalConsistencyError("the clique-free witness misses the f value")
+    comp = rf.witness.cross_complement()
+    if find_crossing_independent(comp, s) is not None:
         raise InternalConsistencyError(
             "complement of the clique-free witness has a crossing "
             "independent set it must not have"
         )
-    if comp_f.max_degree() != rd.value:
+    if comp.max_degree() != delta:
         raise InternalConsistencyError(
             "complement of the clique-free witness misses the delta value"
         )
-    comp_d = rd.witness.cross_complement()
-    if find_clique(comp_d, s) is not None:
-        raise InternalConsistencyError(
-            "complement of the covering witness contains a forbidden clique"
-        )
-    if comp_d.min_degree() != rf.value:
-        raise InternalConsistencyError(
-            "complement of the covering witness misses the f value"
-        )
-    return {"n": n, "r": r, "size": s, "f": rf.value, "delta": rd.value}
+    return {"n": n, "r": r, "size": s, "f": rf.value, "delta": delta}

@@ -12,7 +12,7 @@ from mpturan.bounds import (
     turan_sandwich,
 )
 from mpturan import oracle
-from mpturan.errors import DomainError, SizeCapError
+from mpturan.errors import DomainError, InternalConsistencyError, SizeCapError
 from mpturan.graphs import complete_multipartite
 from mpturan.oracle import DEFAULT_CAP, duality_audit, oracle_delta, oracle_f
 from mpturan.verifier import _clique_in, find_clique, find_crossing_independent
@@ -104,8 +104,8 @@ def test_oracle_variants_agree():
     assert oracle_f(1, 6, 4, seed=123).value == plain
     d = oracle_delta(2, 3, 3).value
     assert oracle_delta(2, 3, 3, symmetry_reduction=True, seed=11).value == d
-    # each side of a pooled audit is the serial search, run in a child
-    # process and checked again through the complement in this one
+    # a pooled audit runs the serial search in a child process and checks
+    # it again through the complement in this one
     for instance in [(2, 3, 3), (1, 5, 4), (2, 4, 3), (1, 6, 4), (3, 3, 3)]:
         assert duality_audit(*instance, jobs=2) == duality_audit(*instance), instance
 
@@ -120,12 +120,35 @@ def test_one_pool_serves_a_whole_audit(monkeypatch):
 
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
     pooled = duality_audit(2, 5, 4, jobs=2)
-    assert opened == [(2,)]
+    assert opened == [(1,)]
     assert duality_audit(2, 5, 4) == pooled
     assert duality_audit(2, 5, 4, jobs=1) == pooled
     with pytest.raises(DomainError):
         duality_audit(2, 5, 4, jobs=0)
-    assert opened == [(2,)]
+    assert opened == [(1,)]
+
+
+@pytest.mark.parametrize(
+    "kind, match",
+    [("clique", "forbidden clique"), ("value", "misses the f value")],
+)
+def test_audit_rechecks_catch_a_bad_witness(monkeypatch, kind, match):
+    # the audit trusts nothing of its one search: a witness holding a
+    # triangle, reported with its true minimum degree, or the true witness
+    # reported one degree too high, each fails a re-check
+    if kind == "clique":
+        witness = complete_multipartite((2, 2, 2))
+        value = witness.min_degree()
+    else:
+        witness = oracle_f(2, 3, 3).witness
+        value = witness.min_degree() + 1
+
+    def bad_oracle_f(n, r, q, **kw):
+        return oracle.OracleResult(oracle.MODE_F, n, r, q, value, witness)
+
+    monkeypatch.setattr(oracle, "oracle_f", bad_oracle_f)
+    with pytest.raises(InternalConsistencyError, match=match):
+        duality_audit(2, 3, 3)
 
 
 def test_size_cap():
@@ -196,39 +219,39 @@ def test_default_audit_matches_plain_table_on_cap_grid():
     assert {k: v for k, v in got.items() if v != PLAIN[k]} == {}
 
 
-def test_plain_search_reproduces_table_up_to_8_vertices():
-    small = [k for k in PLAIN if k[0] * k[1] <= 8]
-    assert len(small) == 48
-    for k in small:
+def test_plain_search_reproduces_table():
+    # the unpruned reference, without lex scan or ceiling, on all 77
+    # instances: about 1 s since it decides each pair exclude first; it
+    # stopped at 8 vertices while f searched include first
+    for k in PLAIN:
         assert audit_pair(*k, symmetry_reduction=False) == PLAIN[k], k
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_seeded_pruned_search_matches_table(seed):
-    # shuffled pair orders weaken the lex-leader pruning; under seed 1 the
-    # three 10-vertex instances (1,10,3), (1,10,4) and (2,5,3) take most
-    # of 8 s, so seed 1 stops at 9 vertices and seed 2 covers all 77
-    most = 9 if seed == 1 else DEFAULT_CAP
+    # shuffled pair orders weaken the lex-leader pruning, yet each seed
+    # covers all 77 instances in about 1 s; seed 1 stopped at 9 vertices
+    # while an audit also ran the include-first search
     for k in PLAIN:
-        if k[0] * k[1] <= most:
-            assert audit_pair(*k, seed=seed) == PLAIN[k], (k, seed)
+        assert audit_pair(*k, seed=seed) == PLAIN[k], (k, seed)
 
 
 def test_probe_counts_are_pinned(monkeypatch):
     """Search probes on f(2,5,3) and delta(2,5,3), plain and pruned.
 
-    Counts depend only on the search, not the machine. Before the pruned
-    search started at its ceiling, trying it first, the pruned search
-    made 467 (f) and 23 (delta); the plain one keeps the full range and
-    its counts. Before probe
-    skipping, the plain search made 131,679 clique probes for f and
-    401,153 cover probes for delta. Before witness reuse, the anchored
-    cover check and the resumable lex scan, it made 74,140 (f) and
-    200,580 (delta), and the pruned search 867 and 2,178. Before mode
-    delta ran as mode f on the cross complement, delta's counts were
-    (0, 32,336) plain and (0, 26) pruned: its probes were cover probes,
-    and each decision also made one dead-end probe at the entry node,
-    on the complete graph, which now has no counterpart.
+    Counts depend only on the search, not the machine. Both modes run the
+    one exclude-first search, so their counts agree. While mode f searched
+    include first, it made 34,113 probes plain and 141 pruned. Before the
+    pruned search started at its ceiling, trying it first, the pruned
+    search made 467 (f) and 23 (delta); the plain one keeps the full range
+    and its counts. Before probe skipping, the plain search made 131,679
+    clique probes for f and 401,153 cover probes for delta. Before witness
+    reuse, the anchored cover check and the resumable lex scan, it made
+    74,140 (f) and 200,580 (delta), and the pruned search 867 and 2,178.
+    Before mode delta ran as mode f on the cross complement, delta's
+    counts were (0, 32,336) plain and (0, 26) pruned: its probes were
+    cover probes, and each decision also made one dead-end probe at the
+    entry node, on the complete graph, which now has no counterpart.
     """
     counts = {"clique": 0, "cover": 0}
 
@@ -251,8 +274,8 @@ def test_probe_counts_are_pinned(monkeypatch):
             assert run(2, 5, 3, symmetry_reduction=not plain).value == 4
             seen[run.__name__, plain] = (counts["clique"], counts["cover"])
     assert seen == {
-        ("oracle_f", True): (34113, 0),
-        ("oracle_f", False): (141, 0),
+        ("oracle_f", True): (32333, 0),
+        ("oracle_f", False): (9, 0),
         ("oracle_delta", True): (32333, 0),
         ("oracle_delta", False): (9, 0),
     }
@@ -262,9 +285,10 @@ def test_probe_counts_are_pinned(monkeypatch):
 def test_probe_counts_are_pinned_in_shuffled_orders(monkeypatch, seed):
     """Search probes on f(2,5,3) and delta(2,5,3) in the seeded pair
     orders, counted with the lex scan still ahead of the guards: the order
-    of work per child must not change which nodes probe. Before the search
-    started at its ceiling they were (4,651, 3,484) under seed 1 and
-    (4,839, 3,763) under seed 2, for (f, delta)."""
+    of work per child must not change which nodes probe. While mode f
+    searched include first, f made 481 under seed 1 and 537 under seed 2.
+    Before the search started at its ceiling they were (4,651, 3,484) under
+    seed 1 and (4,839, 3,763) under seed 2, for (f, delta)."""
     counts = {"clique": 0, "cover": 0}
 
     def counted(kind, real):
@@ -285,16 +309,18 @@ def test_probe_counts_are_pinned_in_shuffled_orders(monkeypatch, seed):
         assert run(2, 5, 3, seed=seed).value == 4
         seen[run.__name__] = (counts["clique"], counts["cover"])
     assert seen == {
-        1: {"oracle_f": (481, 0), "oracle_delta": (1165, 0)},
-        2: {"oracle_f": (537, 0), "oracle_delta": (210, 0)},
+        1: {"oracle_f": (1165, 0), "oracle_delta": (1165, 0)},
+        2: {"oracle_f": (210, 0), "oracle_delta": (210, 0)},
     }[seed]
 
 
 # sha256 over the lines "<oracle> <n> <r> <s> <value> <witness digest>\n" of
 # oracle_f and oracle_delta on every cap-grid instance, in the order of
-# PLAIN, computed while mode delta still ran its own search: one search
-# for both modes must return the same graphs.
-CAP_GRID_WITNESS_HASH = "1b5619574caa3ce15d9abc84400b13b91add5c8481ebaa6ac58f991c090e931d"
+# PLAIN. The delta witnesses are those pinned while mode delta still ran
+# its own search, and each f witness is the cross complement of its delta
+# witness. While mode f searched include first, the hash was
+# 1b5619574caa3ce15d9abc84400b13b91add5c8481ebaa6ac58f991c090e931d.
+CAP_GRID_WITNESS_HASH = "6bd00d275fdd9d65562b935c8bac94628325863ef54b884fdc262225a35733cb"
 
 
 def test_cap_grid_witnesses_are_pinned():
@@ -308,15 +334,18 @@ def test_cap_grid_witnesses_are_pinned():
 
 # Witness digests computed with the search as it stood before witness
 # reuse, the anchored cover check and the resumable lex scan: skipping
-# probes must not change which graph each search returns.
+# probes must not change which graph each search returns. The f digests
+# are those of the cross complements of the delta witnesses; while mode f
+# searched include first they were cba4602e..., 89fc1490..., c85bacf8...
+# and f192df15..., in this order.
 WITNESS_DIGESTS = {
-    ("oracle_f", 2, 5, 3): "sha256:cba4602efacdd80e318c2319aa70f958de9cb7a9b7a1fe41e3678f3241648272",
+    ("oracle_f", 2, 5, 3): "sha256:782383cd4fc64bee06bb54c7e9eb26933a6dbe83c57fcf6a1f721a61a6510fe4",
     ("oracle_delta", 2, 5, 3): "sha256:450719df20934991791b54694f4a9e187fa54827775860e1d0859a8860b4874a",
-    ("oracle_f", 1, 10, 4): "sha256:89fc1490bd81d6a9baf026cce95131c4e638b986dc2701dcfaff1bcb957ac255",
+    ("oracle_f", 1, 10, 4): "sha256:9dc98465e2ee1fade9aaf56831548b575c8a657f84e94777705ad35c2e67a900",
     ("oracle_delta", 1, 10, 4): "sha256:43720a02f7d1f585551166cbda013adc99cae222009d2661ce8cd69c32d5c9c5",
-    ("oracle_f", 3, 3, 3): "sha256:c85bacf8fe4527e746199653fde07de382ce224a46f142926d2c4e3a80023c36",
+    ("oracle_f", 3, 3, 3): "sha256:0637437315d86a34e3edda6011cc96b9d45a16f6ea8527b1266a1645868f0713",
     ("oracle_delta", 3, 3, 3): "sha256:9ecb41ac8bc954ccfacb07b88bf07c5578e8009701bad35b4926ecdda8c62224",
-    ("oracle_f", 2, 4, 4): "sha256:f192df151685468bc1310c6036d303702912e6fe673786d39315e41b1fef09ca",
+    ("oracle_f", 2, 4, 4): "sha256:4ff3f9ca729228eadfa8282969d2b1f3a64718e30077143fe5f71a5a2c74a67d",
     ("oracle_delta", 2, 4, 4): "sha256:b0b5c5f67b840cc4f50f7f0cac38406b53b1af596b961ff3c17e60290ff214e1",
 }
 
@@ -326,6 +355,11 @@ def test_witness_digests_are_pinned(key):
     name, *instance = key
     res = getattr(oracle, name)(*instance)
     assert res.witness.digest() == WITNESS_DIGESTS[key]
+
+
+def test_f_witness_is_the_cross_complement_of_the_delta_witness():
+    for n, r, s in PLAIN:
+        assert oracle_f(n, r, s).witness == oracle_delta(n, r, s).witness.cross_complement()
 
 
 def _lex_pruned(a, gens):
@@ -377,7 +411,8 @@ def test_lex_scan_prunes_where_the_whole_prefix_check_does(shape, seed, choices)
 def _decide_before(n, r, size, bound, first, pairs, gens):
     """``oracle._decide`` as it stood before the guards moved ahead of the
     lex scan and the closures were inlined, kept as the reference the
-    reworked decision loop is checked against."""
+    reworked decision loop is checked against. ``first`` is the value each
+    pair takes first (1 includes, 0 excludes); ``_decide`` is ``first=0``."""
     npairs = len(pairs)
     template = complete_multipartite((n,) * r)
     rows = [0] * template.n_vertices
@@ -423,8 +458,8 @@ def _decide_before(n, r, size, bound, first, pairs, gens):
 
 def test_decide_matches_the_loop_it_replaced():
     # every cap-grid instance on at most 7 vertices, every bound up to one
-    # past the largest degree, both branch orders, three pair orders, with
-    # and without the lex-leader generators
+    # past the largest degree, three pair orders, with and without the
+    # lex-leader generators; with both branch orders this read (2424, 1500)
     cases, feasible = 0, 0
     for n, r, s in PLAIN:
         if n * r > 7:
@@ -433,13 +468,11 @@ def test_decide_matches_the_loop_it_replaced():
             pairs = oracle._cross_pairs(n, r, seed)
             for gens in ((), oracle._position_perms(n, r, pairs)):
                 for bound in range((r - 1) * n + 2):
-                    for first in (0, 1):
-                        args = (n, r, s, bound, first, pairs, gens)
-                        rows = oracle._decide(*args)
-                        assert rows == _decide_before(*args), args
-                        cases += 1
-                        feasible += rows is not None
-    assert (cases, feasible) == (2424, 1500)
+                    rows = oracle._decide(n, r, s, bound, pairs, gens)
+                    assert rows == _decide_before(n, r, s, bound, 0, pairs, gens)
+                    cases += 1
+                    feasible += rows is not None
+    assert (cases, feasible) == (1212, 750)
 
 
 def test_open_case_audit_2_7_4():
@@ -451,11 +484,12 @@ def test_open_case_audit_2_7_4():
 
 
 def test_no_target_above_the_ceiling_is_feasible():
-    # every cap-grid instance, default pair order, both branch orders:
-    # the search refutes each target the ceiling skips, with the
-    # lex-leader generators everywhere and without them up to 8 vertices.
-    # The size-2 instances have ceiling 0 and skip every target above it;
-    # before, their ceiling was (r - 1)n and the pin read (208, 58).
+    # every cap-grid instance, default pair order: the search refutes
+    # each target the ceiling skips, with the lex-leader generators
+    # everywhere and without them up to 8 vertices. The size-2 instances
+    # have ceiling 0 and skip every target above it; before, their ceiling
+    # was (r - 1)n and the pin read (208, 58). With both branch orders
+    # checked, it read (468, 75).
     refuted, sharp = 0, 0
     for (n, r, s), (f, _) in PLAIN.items():
         top = oracle._ceiling(n, r, s)
@@ -465,10 +499,9 @@ def test_no_target_above_the_ceiling_is_feasible():
         gens = oracle._position_perms(n, r, pairs)
         for gens in ((gens, ()) if n * r <= 8 else (gens,)):
             for bound in range(top + 1, (r - 1) * n + 1):
-                for first in (0, 1):
-                    assert oracle._decide(n, r, s, bound, first, pairs, gens) is None
-                    refuted += 1
-    assert (refuted, sharp) == (468, 75)
+                assert oracle._decide(n, r, s, bound, pairs, gens) is None
+                refuted += 1
+    assert (refuted, sharp) == (234, 75)
 
 
 def test_ceiling_is_never_below_a_construction_or_the_threshold():
@@ -552,6 +585,15 @@ def test_cap_grid_values_lie_in_the_bound_envelope():
         assert report.exact == f, (n, r, t)
         checked += 1
     assert checked == 43
+
+
+@pytest.mark.parametrize("n, r, s, f", [(4, 4, 3, 8), (2, 8, 4, 10), (2, 8, 5, 12), (3, 5, 3, 6)])
+def test_audits_beyond_the_cap(n, r, s, f):
+    # about 1 ms each in the exclude-first search; the include-first f
+    # search took 2 s on (3, 5, 3), 8 s on (2, 8, 5) and 35 s on (4, 4, 3)
+    assert best_known_bounds(n, r, s - 1).exact == f
+    audit = duality_audit(n, r, s, cap=16)
+    assert (audit["f"], audit["delta"]) == (f, (r - 1) * n - f)
 
 
 def test_transversal_value_at_15_vertices():
