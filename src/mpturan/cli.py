@@ -13,20 +13,26 @@ consistency audit failed, 2 invalid arguments or an inapplicable request,
 3 an oracle instance exceeds the size cap.
 
 All JSON output carries integers only; nothing is ever rounded to float.
+It is the text of ``json.dumps(doc, sort_keys=True, indent=2)``, written by
+``_json_chunks``, which takes the C string encoder and joins int lists in
+batches, so a large graph document streams out in bounded pieces. A call
+whose first argument names a subcommand is parsed by that subcommand's
+parser alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import stat
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, cycle, groupby, islice
+from json.encoder import encode_basestring_ascii as _quote
+from operator import add
 
 from .bounds import _check_composition, _composition_slice, best_known_bounds, ceil_div
 from .constructions import (
@@ -100,6 +106,105 @@ def _emit(text: str, out: str | None) -> None:
     _stream((text if text.endswith("\n") else text + "\n",), out)
 
 
+# items of an int list, ints or int lists, per piece it streams out in:
+# about 170 KiB of text for the edge pairs of a construct document
+_INT_BATCH = 4096
+
+
+def _int_pieces(
+    ints: Iterator[int], count: int, head: str, seps: tuple[str, ...], tail: str
+) -> Iterator[str]:
+    """``head``, then ``count`` ints from ``ints``, each followed by the next
+    separator of ``seps`` in turn, the last by ``tail`` instead; joined in C,
+    ``_INT_BATCH`` rounds of ``seps`` per piece."""
+    yield head
+    step = _INT_BATCH * len(seps)
+    for start in range(0, count, step):
+        text = "".join(map(add, map(int.__repr__, islice(ints, step)), cycle(seps)))
+        yield text if start + step < count else text[: -len(seps[-1])] + tail
+
+
+# the JSON text of each scalar type the CLI prints
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _encode(value, nl: str, parts: list) -> None:
+    """Append the indented JSON text of ``value`` to ``parts``, with ``nl``
+    the newline and indent of its own line. A list of ints, or of int lists
+    of one length, is appended as an iterator of pieces instead."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        parts.append(scalar(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                parts.append(sep + _quote(key) + ": " + scalar(item))
+            else:
+                parts.append(sep + _quote(key) + ": ")
+                _encode(item, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            parts.append(
+                _int_pieces(iter(value), len(value), "[" + inner, ("," + inner,), nl + "]")
+            )
+            return
+        if kinds == {list} and len(widths := set(map(len, value))) == 1:
+            (width,) = widths
+            if width and set(map(type, chain.from_iterable(value))) == {int}:
+                row = inner + "  "
+                seps = ("," + row,) * (width - 1) + (inner + "]," + inner + "[" + row,)
+                ints = chain.from_iterable(value)
+                head, tail = "[" + inner + "[" + row, inner + "]" + nl + "]"
+                parts.append(_int_pieces(ints, len(value) * width, head, seps, tail))
+                return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _encode(item, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "]")
+    else:
+        # a float too: the CLI prints integers only
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_chunks(doc) -> Iterator[str]:
+    """The text of ``json.dumps(doc, sort_keys=True, indent=2)`` in pieces,
+    for a document of str-keyed dicts, lists, tuples, strs, ints, bools and
+    None. Everything but int lists is joined into one piece per stretch."""
+    parts: list = []
+    _encode(doc, "\n", parts)
+    for kind, run in groupby(parts, type):
+        if kind is str:
+            yield "".join(run)
+        else:
+            for pieces in run:
+                yield from pieces
+
+
+def _emit_json(doc, out: str | None) -> None:
+    _stream(chain(_json_chunks(doc), "\n"), out)
+
+
 def _render_report_text(report) -> str:
     head = f"f(n={report.n}, r={report.r}, t={report.t})"
     lines = []
@@ -123,7 +228,7 @@ def _render_report_text(report) -> str:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     report = best_known_bounds(args.n, args.r, args.t)
     if args.format == "json":
-        _emit(json.dumps(report.to_json_dict(), sort_keys=True, indent=2), args.out)
+        _emit_json(report.to_json_dict(), args.out)
     else:
         _emit(_render_report_text(report), args.out)
     return 0
@@ -169,8 +274,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             "max_degree": built.claimed_max_degree,
             "coloring": list(built.coloring.colors) if built.coloring else None,
         }
-        encoder = json.JSONEncoder(sort_keys=True, indent=2)
-        _stream(chain(encoder.iterencode(doc), "\n"), args.out)
+        _emit_json(doc, args.out)
     else:
         lines = [
             f"method: {args.method} ({built.source})",
@@ -279,7 +383,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         doc.update(cert.to_json_dict())
         failed |= not cert.all_true
     if args.format == "json":
-        _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
+        _emit_json(doc, args.out)
     else:
         lines = [f"graph: {doc['graph_digest']}"]
         for p in doc.get("properties", []):
@@ -299,7 +403,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         audit = duality_audit(args.n, args.r, size, jobs=jobs, **kw)
         audit["t"] = args.t
         if args.format == "json":
-            _emit(json.dumps(audit, sort_keys=True, indent=2), args.out)
+            _emit_json(audit, args.out)
         else:
             _emit(
                 f"f(n={args.n}, r={args.r}, forbid K_{size}) = {audit['f']}\n"
@@ -314,7 +418,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         doc = result.to_json_dict()
         doc["t"] = args.t
         doc["witness"] = graph_to_json_dict(result.witness)
-        _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
+        _emit_json(doc, args.out)
     else:
         what = (
             f"max min degree, no clique on {size}"
@@ -354,10 +458,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         )
     reports = [best_known_bounds(args.n, r, args.t) for r in range(r_lo, r_hi + 1)]
     if args.format == "json":
-        _emit(
-            json.dumps([rep.to_json_dict() for rep in reports], sort_keys=True, indent=2),
-            args.out,
-        )
+        _emit_json([rep.to_json_dict() for rep in reports], args.out)
         return 0
     lines = [f"f(n={args.n}, r, t={args.t}) for r in [{r_lo}, {r_hi}]"]
     lines.append(f"{'r':>4}  {'lower':>8}  {'upper':>8}  status")
@@ -473,12 +574,32 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_output(p, ("text", "json"))
     p.set_defaults(func=_cmd_table)
 
+    # the command parsers by name, which ``_parse`` hands argv to
+    parser.commands = sub.choices
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, with the work of its top-level
+    parser skipped when ``argv`` starts with a command name.
+
+    That parser would only look through every argument for its own ``-h``
+    and then hand the rest to the command's parser; here the command's
+    parser gets the rest at once, and what it leaves over goes to the
+    top-level ``error``, which is where the top-level parser sends it.
+    """
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         for name, value in vars(args).items():
             if type(value) is int:

@@ -19,7 +19,9 @@ Graphs are immutable once built.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from itertools import chain, compress, count, repeat
+from operator import setitem
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GraphStructureError
@@ -54,6 +56,7 @@ is read, and a pipe or a device as soon as it has sent more.
 """
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BYTE_BITS = tuple(1 << i for i in range(8))
 
 
@@ -235,11 +238,11 @@ def from_edges(
 
     Repeated edges are harmless. An endpoint outside the vertex range, a
     self-loop, or a pair inside one part raises ``GraphStructureError``, as
-    does a vertex count above ``MAX_VERTICES``. Bits are set in one
-    bytearray per vertex, and each group then costs one OR per vertex and
-    one per neighbor, after all of its ids are range-checked; loops and
-    intra-part pairs are found on the finished rows with one mask test per
-    vertex.
+    does a vertex count above ``MAX_VERTICES``. Edge bits are set in one
+    bytearray per vertex. A group's ids are range-checked, its vertex and
+    neighbor masks are set in C as one 0/1 byte per vertex, and it then
+    costs one OR per vertex and one per neighbor; loops and intra-part
+    pairs are found on the finished rows with one mask test per vertex.
     """
     sizes = _normalized_part_sizes(part_sizes)
     n = sum(sizes)
@@ -271,10 +274,11 @@ def from_edges(
                 if low < 0 or high >= n:
                     bad = low if low < 0 else high
                     raise GraphStructureError(f"vertex id {bad} out of range [0, {n})")
-            buf = bytearray(width)
-            for w in ids:
-                buf[w >> 3] |= bit[w & 7]
-            masks.append(int.from_bytes(buf, "little"))
+            # one 0/1 byte per vertex, set in C, so a repeated id sets its
+            # bit once; the bytes, highest vertex first, are the binary digits
+            flags = bytearray(n)
+            deque(map(setitem, repeat(flags), ids, repeat(1)), maxlen=0)
+            masks.append(int(flags.translate(_FLAG_DIGITS)[::-1], 2))
         to_vertices, to_neighbors = masks
         for w in vertices:
             rows[w] |= to_neighbors

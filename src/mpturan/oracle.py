@@ -145,35 +145,27 @@ def _position_perms(
     """Pair-index permutations induced by adjacent part and vertex swaps.
 
     Each generator is an involution on vertices that preserves the
-    partition shape, so it permutes the cross pairs among themselves.
+    partition shape, so it permutes the cross pairs among themselves. A
+    pair's image is read from a table of pair indices by both endpoints,
+    so it needs no ordering of the two.
     """
     total = r * n
-    index_of = {p: i for i, p in enumerate(pairs)}
+    index = [[0] * total for _ in range(total)]
+    for i, (u, v) in enumerate(pairs):
+        index[u][v] = index[v][u] = i
     vertex_perms: list[list[int]] = []
-    for j in range(r - 1):
+    for j in range(0, (r - 1) * n, n):
         perm = list(range(total))
-        for i in range(n):
-            perm[j * n + i], perm[(j + 1) * n + i] = (
-                perm[(j + 1) * n + i],
-                perm[j * n + i],
-            )
+        perm[j : j + 2 * n] = perm[j + n : j + 2 * n] + perm[j : j + n]
         vertex_perms.append(perm)
-    for j in range(r):
-        for i in range(n - 1):
+    for u in range(total):
+        if (u + 1) % n:
             perm = list(range(total))
-            u, w = j * n + i, j * n + i + 1
-            perm[u], perm[w] = perm[w], perm[u]
+            perm[u : u + 2] = u + 1, u
             vertex_perms.append(perm)
-    gens: list[tuple[int, ...]] = []
-    for perm in vertex_perms:
-        image = []
-        for u, v in pairs:
-            a, b = perm[u], perm[v]
-            if a > b:
-                a, b = b, a
-            image.append(index_of[(a, b)])
-        gens.append(tuple(image))
-    return tuple(gens)
+    return tuple(
+        tuple([index[perm[u]][perm[v]] for u, v in pairs]) for perm in vertex_perms
+    )
 
 
 def _lex_scan(

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpturan import cli
 from mpturan.cli import MAX_TABLE_ROWS, main
@@ -969,3 +973,134 @@ def test_importing_the_cli_loads_no_pool_and_no_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# -- the argv parse and the JSON writer ------------------------------------
+
+_OPTION_WORDS = sorted({
+    option
+    for parser in cli._build_parser().commands.values()
+    for action in parser._actions
+    for option in action.option_strings
+})
+_ARGV_WORDS = st.one_of(
+    st.sampled_from(sorted(cli._build_parser().commands) + ["bound", "tables", "help"]),
+    st.sampled_from(_OPTION_WORDS),
+    st.sampled_from(_OPTION_WORDS).map(lambda o: o[:3] if o.startswith("--") else o),
+    st.tuples(st.sampled_from(_OPTION_WORDS), st.sampled_from(["5", "x", "json", ""])).map(
+        "=".join
+    ),
+    st.sampled_from(["-h", "--help", "--he", "-x", "--bogus", "--", "-", "--n=-3", "--r2"]),
+    st.sampled_from(["0", "3", "7", "-1", "60", "5..13", "x", "json", "text", "dimacs",
+                     "turan", "sliced", "audit", "f", "kfree=4", "g.col", "", " ", "é"]),
+)
+
+
+# a complete call of each command, for argv that parse without an error
+_CALLS = {
+    "bounds": ["--n", "5", "--r", "7", "--t", "3"],
+    "construct": ["--method", "turan", "--n", "2", "--r", "4", "--t", "3"],
+    "verify": ["--in", "g.col"],
+    "oracle": ["--mode", "f", "--n", "1", "--r", "4", "--t", "3"],
+    "table": ["--n", "5", "--t", "3"],
+}
+
+
+@st.composite
+def _argv(draw):
+    words = draw(st.lists(_ARGV_WORDS, max_size=8))
+    if draw(st.booleans()):
+        return words
+    command = draw(st.sampled_from(sorted(_CALLS)))
+    call = _CALLS[command]
+    call = call[: draw(st.one_of(st.just(len(call)), st.integers(0, len(call))))]
+    at = draw(st.integers(0, len(call)))
+    return [command, *call[:at], *words[: draw(st.integers(0, 3))], *call[at:]]
+
+
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv())
+def test_main_parses_as_the_top_level_parser_does(argv):
+    # a command's parser takes the rest of argv at once; its namespace, or
+    # the exit code and the text on both streams, must be the top-level
+    # parser's
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(
+        cli._build_parser().parse_args, argv
+    )
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    argv = ["mpturan", "bounds", "--n", "5", "--r", "7", "--t", "3", "--bogus"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("mpturan: error: unrecognized arguments: --bogus\n")
+
+
+_JSON_TEXT = st.one_of(
+    st.text(),
+    st.lists(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "é", " ", "\U0001f600", "a"])
+    ).map("".join),
+)
+_JSON_INTS = st.one_of(
+    st.integers(), st.integers(2**64, 2**300), st.integers(-(2**300), -(2**64))
+)
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), _JSON_INTS, _JSON_TEXT)
+_JSON_DOCS = st.recursive(
+    st.one_of(
+        _JSON_SCALARS,
+        st.lists(_JSON_INTS),
+        st.integers(0, 3).flatmap(
+            lambda k: st.lists(st.lists(_JSON_INTS, min_size=k, max_size=k))
+        ),
+        st.lists(st.lists(_JSON_INTS, max_size=3)),
+        st.lists(st.one_of(st.booleans(), _JSON_INTS)),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_JSON_TEXT, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_JSON_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    want = json.dumps(doc, sort_keys=True, indent=2)
+    assert "".join(cli._json_chunks(doc)) == want
+    # two items per piece, so that int lists end on and across batch edges
+    batch, cli._INT_BATCH = cli._INT_BATCH, 2
+    try:
+        assert "".join(cli._json_chunks(doc)) == want
+    finally:
+        cli._INT_BATCH = batch
+
+
+def test_json_writer_refuses_floats():
+    # the CLI prints integers only
+    for doc in (1.5, {"a": [1, 2.0]}, [[1, 2.0]], [[0.5]]):
+        with pytest.raises(TypeError):
+            "".join(cli._json_chunks(doc))
+
+
+def test_construct_json_streams_in_bounded_pieces(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(cli, "_stream", lambda chunks, out: sizes.extend(map(len, chunks)))
+    assert main(["construct", "--method", "sliced", "--n", "60", "--r", "10", "--t", "3",
+                 "--format", "json"]) == 0
+    assert sum(sizes) > 4 * 2**20
+    assert max(sizes) <= 2**18

@@ -60,6 +60,8 @@ def test_from_edges_groups_join_every_pair():
         [2, 2, 2], [(2, 4)] + [(u, v) for u in (0, 1) for v in (2, 3, 4)]
     )
     assert from_edges([2, 2], [], [([0], []), ([], [2])]) == empty_graph([2, 2])
+    # a repeated id sets its bit once: its masks OR, never add
+    assert from_edges([2, 2, 2], [(2, 4)], [([1, 0, 1], [3, 2, 4, 3, 3])]) == g
 
 
 @pytest.mark.parametrize(

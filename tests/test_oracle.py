@@ -456,6 +456,46 @@ def _decide_before(n, r, size, bound, first, pairs, gens):
     return rec(0, None, None, [(pi, 0) for pi in gens])
 
 
+def _position_perms_before(n, r, pairs):
+    """``oracle._position_perms`` as it stood with a dict from each sorted
+    pair to its index and one loop per vertex permutation, kept as the
+    reference the pair-index table is checked against."""
+    total = r * n
+    index_of = {p: i for i, p in enumerate(pairs)}
+    vertex_perms = []
+    for j in range(r - 1):
+        perm = list(range(total))
+        for i in range(n):
+            perm[j * n + i], perm[(j + 1) * n + i] = (
+                perm[(j + 1) * n + i],
+                perm[j * n + i],
+            )
+        vertex_perms.append(perm)
+    for j in range(r):
+        for i in range(n - 1):
+            perm = list(range(total))
+            u, w = j * n + i, j * n + i + 1
+            perm[u], perm[w] = perm[w], perm[u]
+            vertex_perms.append(perm)
+    gens = []
+    for perm in vertex_perms:
+        image = []
+        for u, v in pairs:
+            a, b = perm[u], perm[v]
+            if a > b:
+                a, b = b, a
+            image.append(index_of[(a, b)])
+        gens.append(tuple(image))
+    return tuple(gens)
+
+
+def test_position_perms_match_the_loop_they_replaced():
+    for n, r in CAP_GRID:
+        for seed in (None, 1, 2, 3):
+            pairs = oracle._cross_pairs(n, r, seed)
+            assert oracle._position_perms(n, r, pairs) == _position_perms_before(n, r, pairs)
+
+
 def test_decide_matches_the_loop_it_replaced():
     # every cap-grid instance on at most 7 vertices, every bound up to one
     # past the largest degree, three pair orders, with and without the
