@@ -16,8 +16,10 @@ All JSON output carries integers only; nothing is ever rounded to float.
 It is the text of ``json.dumps(doc, sort_keys=True, indent=2)``, written by
 ``_json_chunks``, which takes the C string encoder and joins int lists in
 batches, so a large graph document streams out in bounded pieces. A call
-whose first argument names a subcommand is parsed by that subcommand's
-parser alone.
+whose first argument names a subcommand and whose rest is exact
+``--option value`` pairs is read from a table of that subcommand's
+options; any other call is parsed by ``argparse``, whose messages and exit
+codes stay.
 """
 
 from __future__ import annotations
@@ -574,9 +576,64 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_output(p, ("text", "json"))
     p.set_defaults(func=_cmd_table)
 
-    # the command parsers by name, which ``_parse`` hands argv to
+    # the command parsers by name, which ``_parse`` hands argv to, each with
+    # the table ``_parse_plain`` reads
     parser.commands = sub.choices
+    for p in sub.choices.values():
+        p.plain = _option_table(p)
     return parser
+
+
+def _option_table(p: argparse.ArgumentParser) -> tuple[dict, list, dict]:
+    """The actions of ``p`` that take exactly one value, by option string;
+    its required actions; and the namespace entries argparse starts from:
+    each action's default in action order, then the parser-level ones."""
+    one_value = (argparse._StoreAction, argparse._AppendAction)
+    options = {
+        option: action
+        for action in p._actions
+        if type(action) in one_value and action.nargs is None
+        for option in action.option_strings
+    }
+    defaults: dict = {}
+    for action in p._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for dest, default in p._defaults.items():
+        defaults.setdefault(dest, default)
+    return options, [a for a in p._actions if a.required], defaults
+
+
+def _parse_plain(command: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives for ``argv[1:]`` when it is all pairs of
+    an exact option string of ``command.plain`` and a value that is
+    non-empty, does not start with ``-``, converts by the action's type and
+    lies in its choices, and every required option is given; else None."""
+    options, required, defaults = command.plain
+    rest = argv[1:]
+    if len(rest) % 2:
+        return None
+    args = argparse.Namespace()
+    ns = vars(args)
+    ns["command"] = argv[0]
+    ns.update(defaults)
+    seen = set()
+    try:
+        for option, raw in zip(rest[::2], rest[1::2]):
+            action = options[option]
+            if not raw or raw[0] == "-":
+                return None
+            value = raw if action.type is None else action.type(raw)
+            if action.choices is not None and value not in action.choices:
+                return None
+            if type(action) is argparse._AppendAction:
+                # a new list, as argparse makes, so that no call extends a default
+                value = [*(ns[action.dest] or ()), value]
+            ns[action.dest] = value
+            seen.add(action)
+    except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return args if seen.issuperset(required) else None
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -584,14 +641,20 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     parser skipped when ``argv`` starts with a command name.
 
     That parser would only look through every argument for its own ``-h``
-    and then hand the rest to the command's parser; here the command's
-    parser gets the rest at once, and what it leaves over goes to the
-    top-level ``error``, which is where the top-level parser sends it.
+    and then hand the rest to the command's parser. A plain command line,
+    exact ``--option value`` pairs only, is read from the command's option
+    table by ``_parse_plain``. Any other goes to the command's parser, and
+    what it leaves over goes to the top-level ``error``, which is where the
+    top-level parser sends it; so every refusal keeps argparse's message
+    and exit code.
     """
     parser = _build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _parse_plain(command, argv)
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error("unrecognized arguments: " + " ".join(extras))

@@ -19,6 +19,7 @@ Graphs are immutable once built.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import deque
 from itertools import chain, compress, count, repeat
 from operator import setitem
@@ -239,8 +240,9 @@ def from_edges(
     Repeated edges are harmless. An endpoint outside the vertex range, a
     self-loop, or a pair inside one part raises ``GraphStructureError``, as
     does a vertex count above ``MAX_VERTICES``. Edge bits are set in one
-    bytearray per vertex. A group's ids are range-checked, its vertex and
-    neighbor masks are set in C as one 0/1 byte per vertex, and it then
+    bytearray per vertex. A group's vertex and neighbor masks are set in C
+    as one 0/1 byte per vertex, through an ``array("I")`` of its ids, which
+    refuses a negative id as the mask refuses one past the end; it then
     costs one OR per vertex and one per neighbor; loops and intra-part
     pairs are found on the finished rows with one mask test per vertex.
     """
@@ -269,15 +271,16 @@ def from_edges(
     for vertices, neighbors in groups:
         masks = []
         for ids in (vertices, neighbors):
-            if ids:
-                low, high = min(ids), max(ids)
-                if low < 0 or high >= n:
-                    bad = low if low < 0 else high
-                    raise GraphStructureError(f"vertex id {bad} out of range [0, {n})")
             # one 0/1 byte per vertex, set in C, so a repeated id sets its
-            # bit once; the bytes, highest vertex first, are the binary digits
+            # bit once; the bytes, highest vertex first, are the binary digits.
+            # An "I" array holds no negative id, and an id past the end
+            # raises IndexError, so the range check costs nothing until it fails
             flags = bytearray(n)
-            deque(map(setitem, repeat(flags), ids, repeat(1)), maxlen=0)
+            try:
+                deque(map(setitem, repeat(flags), array("I", ids), repeat(1)), maxlen=0)
+            except (IndexError, OverflowError):
+                bad = min(ids) if min(ids) < 0 else max(ids)
+                raise GraphStructureError(f"vertex id {bad} out of range [0, {n})") from None
             masks.append(int(flags.translate(_FLAG_DIGITS)[::-1], 2))
         to_vertices, to_neighbors = masks
         for w in vertices:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -1046,6 +1047,118 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
         main()
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith("mpturan: error: unrecognized arguments: --bogus\n")
+
+
+# the same int in spellings ``int`` accepts: signs, spaces, underscores and
+# non-ASCII decimal digits
+_INT_SPELLINGS = st.tuples(
+    st.integers(0, 10**6),
+    st.sampled_from([
+        str,
+        "+{}".format,
+        " {} ".format,
+        " -{}".format,
+        "{:_}".format,
+        lambda i: str(i).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+        lambda i: str(i).translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+    ]),
+).map(lambda pair: pair[1](pair[0]))
+_STR_VALUES = st.sampled_from(["g.col", "kfree=4", "5..13", "8", "é", " x", "a b", "="])
+
+
+def _value_of(action):
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    return _INT_SPELLINGS if action.type is int else _STR_VALUES
+
+
+@st.composite
+def _plain_argv(draw):
+    # every command, its required options once or more, any others, in any
+    # order; each value one the option accepts
+    name = draw(st.sampled_from(sorted(cli._build_parser().commands)))
+    actions = [a for a in cli._build_parser().commands[name]._actions if a.nargs is None]
+    chosen = [a for a in actions if a.required or draw(st.booleans())]
+    chosen += draw(st.lists(st.sampled_from(actions), max_size=4))
+    pairs = [
+        (draw(st.sampled_from(action.option_strings)), draw(_value_of(action)))
+        for action in draw(st.permutations(chosen))
+    ]
+    return [name, *chain.from_iterable(pairs)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_plain_argv())
+def test_plain_command_lines_read_as_the_command_parser_does(argv):
+    # the option table gives argparse's namespace, key order included
+    command = cli._build_parser().commands[argv[0]]
+    want, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    assert extras == []
+    got = cli._parse_plain(command, argv)
+    assert got is not None
+    assert list(vars(got).items()) == list(vars(want).items())
+    assert list(vars(cli._parse(argv)).items()) == list(vars(want).items())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "5", "--r", "7", "--t", "3", "--format", "xml"],
+        ["construct", "--method", "bogus", "--n", "2", "--r", "4", "--t", "3"],
+        ["oracle", "--mode", "g", "--n", "1", "--r", "4", "--t", "3"],
+        ["oracle", "--mode", "f", "--n", "1", "--r", "4", "--t", "3", "--mode", "x"],
+        ["bounds", "--n", "5", "--r", "7", "--t", "x"],
+        ["bounds", "--n", "5", "--r", "7", "--t", ""],
+        ["bounds", "--n", "5", "--r", "7", "--t", "3", "--out", ""],
+        ["bounds", "--n", "5", "--r", "7", "--t", "-3"],
+        ["bounds", "--n", "5", "--r", "7"],
+        ["bounds", "--n", "5", "--r", "7", "--t"],
+        ["bounds", "--n", "5", "--r", "7", "--t", "3", "--k", "2"],
+        ["table", "--n", "5", "--t", "3", "--r", "-1"],
+        ["verify", "--in", "g.col", "--claim", "-x"],
+    ],
+)
+def test_lines_the_table_does_not_read_go_to_argparse(argv):
+    # a value refused by its type or choices, an empty value or one that
+    # starts with "-", a missing value, a missing or unknown option: argparse
+    # reads each one, and its namespace, or its exit code and text, is what
+    # the CLI gives
+    assert cli._parse_plain(cli._build_parser().commands[argv[0]], argv) is None
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(
+        cli._build_parser().parse_args, argv
+    )
+
+
+def test_plain_calls_never_reach_argparse(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain command line")
+
+    cli._build_parser()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    path = str(tmp_path / "g.col")
+    calls = [
+        ["bounds", "--n", "5", "--r", "7", "--t", "3", "--format", "json"],
+        ["construct", "--method", "turan", "--n", "1", "--r", "6", "--t", "3",
+         "--format", "dimacs", "--out", path],
+        ["verify", "--in", path, "--claim", "kfree=4", "--claim", "colorable=3"],
+        ["oracle", "--mode", "audit", "--n", "1", "--r", "4", "--t", "3", "--cap", "12"],
+        ["table", "--n", "5", "--t", "3", "--r", "4..6"],
+    ]
+    assert sorted(call[0] for call in calls) == sorted(cli._build_parser().commands)
+    for call in calls:
+        assert run(capsys, *call)[0] == 0, call
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["plain", "equals"])
+def test_oversized_ints_are_named_in_namespace_order(capsys, plain):
+    # main reports the first oversized int of the namespace, whichever path
+    # read the command line
+    digits = "9" * (cli.MAX_INT_DIGITS + 1)
+    n = ["--n", digits] if plain else [f"--n={digits}"]
+    code, out, err = run(capsys, "bounds", *n, "--r", digits, "--t", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --n has more than {cli.MAX_INT_DIGITS} digits\n"
 
 
 _JSON_TEXT = st.one_of(
