@@ -8,7 +8,8 @@ bounds on these quantities. Everything is exact: values and conditions
 are evaluated in Python ints, razor-edge conditions as cross-multiplied
 integer comparisons. ``fractions.Fraction`` appears only where a function
 returns a rational (``turan_sandwich``, ``aes_threshold``) or takes one
-(``delta0`` of the block composition). No floats anywhere.
+(``delta0`` of the block composition), and is imported there, so that
+evaluating a bound loads no ``fractions``. No floats anywhere.
 
 The residue decomposition r = m*t - a with m = ceil(r/t) and
 0 <= a <= t - 1 organizes the case analysis and recurs in most signatures.
@@ -22,10 +23,12 @@ the r x t matrix counting the vertices of each part in each color.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DomainError, NotApplicableError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ceil_div",
@@ -264,6 +267,8 @@ def turan_sandwich(n: int, r: int, t: int) -> tuple[int, Fraction]:
     t-partition of the parts; the upper bound is the classical edge-count
     barrier and is returned as an exact rational.
     """
+    from fractions import Fraction
+
     _check_instance(n, r, t)
     m, a = decompose(r, t)
     return _balanced(n, r, t, m, a), Fraction((r * t - r) * n, t)
@@ -331,6 +336,8 @@ def aes_threshold(t: int, total_vertices: int) -> Fraction:
         raise DomainError(f"need t >= 2, got {t}")
     if total_vertices < 1:
         raise DomainError(f"need at least one vertex, got {total_vertices}")
+    from fractions import Fraction
+
     return Fraction((3 * t - 4) * total_vertices, 3 * t - 1)
 
 
@@ -346,6 +353,8 @@ def composition_bound(
 
         (r0 - 1) * ceil((delta0 + (k - 1) * r0) * n / (delta0 + k * r0 - 1)).
     """
+    from fractions import Fraction
+
     delta0 = Fraction(delta0)
     _check_composition(n, r0, t0, k, delta0)
     numer = (delta0 + (k - 1) * r0) * n
@@ -370,6 +379,8 @@ def _check_composition(n: int, r0: int, t0: int, k: int, delta0: Fraction | int 
 def _composition_slice(n: int, r0: int, k: int, delta0: Fraction) -> int:
     """Small-side size l = floor((r0 - 1) n / (delta0 + k r0 - 1)) of the
     block composition, for arguments that pass ``_check_composition``."""
+    from fractions import Fraction
+
     size = math.floor(Fraction((r0 - 1) * n) / (delta0 + k * r0 - 1))
     if size < 1:
         raise DomainError(

@@ -15,26 +15,34 @@ consistency audit failed, 2 invalid arguments or an inapplicable request,
 All JSON output carries integers only; nothing is ever rounded to float.
 It is the text of ``json.dumps(doc, sort_keys=True, indent=2)``, written by
 ``_json_chunks``, which takes the C string encoder and joins int lists in
-batches, so a large graph document streams out in bounded pieces. A call
-whose first argument names a subcommand and whose rest is exact
-``--option value`` pairs is read from a table of that subcommand's
-options; any other call is parsed by ``argparse``, whose messages and exit
-codes stay.
+batches, so a large graph document streams out in bounded pieces.
+
+``_COMMANDS`` is the one declaration of the subcommands and their options.
+A call whose first argument names a subcommand and whose rest is exact
+``--option value`` pairs is read from it without importing ``argparse``;
+any other call is parsed by the ``argparse`` parsers built from the same
+table, whose help, messages and exit codes stay. A plain call also loads
+no ``hashlib``, ``fractions`` or ``json``: each is imported where a
+command first uses it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import stat
 import sys
-from collections.abc import Iterable, Iterator
-from fractions import Fraction
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 from itertools import chain, cycle, groupby, islice
-from json.encoder import encode_basestring_ascii as _quote
 from operator import add
+from types import SimpleNamespace
+from typing import NamedTuple
+
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 from .bounds import _check_composition, _composition_slice, best_known_bounds, ceil_div
 from .constructions import (
@@ -227,7 +235,7 @@ def _render_report_text(report) -> str:
     return "\n".join(lines)
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: SimpleNamespace) -> int:
     report = best_known_bounds(args.n, args.r, args.t)
     if args.format == "json":
         _emit_json(report.to_json_dict(), args.out)
@@ -240,6 +248,8 @@ def _composition_from_defaults(n: int, r0: int, t0: int, k: int) -> Construction
     """Compose the stock inner family, the cross complement of a balanced
     clique-free blowup (complete multipartite for t0 = 2), whose max
     degree is delta0 = ceil(r0 / (t0 - 1)) - 1 times its part size."""
+    from fractions import Fraction
+
     _check_composition(n, r0, t0, k)
     delta0 = Fraction(ceil_div(r0, t0 - 1) - 1)
     inner = default_inner_graph(r0, t0, _composition_slice(n, r0, k, delta0))
@@ -256,7 +266,7 @@ _METHODS = {
 }
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: SimpleNamespace) -> int:
     blocks = args.k if args.method == "composition" else 1
     if blocks * args.r * args.n > MAX_VERTICES:
         raise DomainError(
@@ -367,7 +377,7 @@ def _parse_claims(raw: list[str]) -> list[tuple[str, int]]:
     return claims
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     claims = _parse_claims(args.claim or [])
     _check_claim_kinds(claims)
     if not claims and args.aes is None:
@@ -397,7 +407,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: SimpleNamespace) -> int:
     jobs = _jobs(args.jobs)
     size = args.t + 1
     kw = dict(cap=args.cap, seed=args.seed)
@@ -444,7 +454,7 @@ def _parse_r_range(raw: str) -> tuple[int, int]:
     return _check_digits(ends[0], "--r"), _check_digits(ends[1], "--r")
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     if args.r is not None:
         r_lo, r_hi = _parse_r_range(args.r)
     else:
@@ -472,16 +482,152 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_output(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    p.add_argument("--format", choices=formats, default="text", help="output format")
-    p.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
+class _Option(NamedTuple):
+    """One option of a command: the keywords ``add_argument`` takes besides
+    its option string, of which ``_parse_plain`` reads all but the last two."""
+
+    dest: str
+    type: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    default: object = None
+    action: str = "store"  # or "append"
+    metavar: str | None = None
+    help: str | None = None
 
 
-# Built on the first ``main`` call, not at import, and kept for the process.
-# Parsing keeps no state in the parser: each call gets a fresh namespace,
-# and every ``_cmd_*`` resolves the functions it calls when it runs.
+class _Command(NamedTuple):
+    help: str
+    func: Callable[[SimpleNamespace], int]
+    # by option string, in the order argparse lists them
+    options: dict[str, _Option]
+
+
+def _output(*formats: str) -> dict[str, _Option]:
+    return {
+        "--format": _Option("format", choices=formats, default="text", help="output format"),
+        "--out": _Option("out", metavar="PATH", help="write output to a file instead of stdout"),
+    }
+
+
+_N = _Option("n", int, required=True, help="size of every part")
+_R = _Option("r", int, required=True, help="number of parts")
+_T = _Option("t", int, required=True, help="largest allowed clique order")
+
+# The one declaration of the CLI's commands and options. ``_parse_plain``
+# reads a plain command line from it; ``_build_parser`` builds argparse's
+# parsers from it for every other command line.
+_COMMANDS = {
+    "bounds": _Command("best known bounds for one instance", _cmd_bounds, {
+        "--n": _N, "--r": _R, "--t": _T, **_output("text", "json"),
+    }),
+    "construct": _Command("build an extremal graph", _cmd_construct, {
+        "--method": _Option(
+            "method", choices=tuple(_METHODS), required=True, help="construction family"
+        ),
+        "--n": _N,
+        "--r": _R._replace(help="number of parts (per block for composition)"),
+        "--t": _T._replace(
+            help="largest allowed clique order (covering size of the inner family "
+            "for composition)"
+        ),
+        "--k": _Option(
+            "k", int, default=2, help="number of blocks (composition only, default 2)"
+        ),
+        **_output("text", "json", "dimacs"),
+    }),
+    "verify": _Command("check claims about a graph file", _cmd_verify, {
+        "--in": _Option(
+            "infile", required=True, metavar="PATH", help="graph file, JSON or DIMACS"
+        ),
+        "--claim": _Option(
+            "claim", action="append", metavar="KIND=VALUE",
+            help=f"claim to check exactly; kinds: {', '.join(_CLAIMS)}; repeatable",
+        ),
+        "--aes": _Option(
+            "aes", int, metavar="T",
+            help="also test the min-degree threshold coloring statement at this t",
+        ),
+        **_output("text", "json"),
+    }),
+    "oracle": _Command("exhaustive search on a tiny instance", _cmd_oracle, {
+        "--mode": _Option("mode", choices=("f", "delta", "audit"), required=True),
+        "--n": _N,
+        "--r": _R,
+        "--t": _T._replace(
+            help="largest allowed clique order; the search forbids cliques on "
+            "t + 1 vertices, and covering modes use crossing sets of t + 1"
+        ),
+        "--cap": _Option(
+            "cap", int, default=DEFAULT_CAP,
+            help=f"vertex-count safety cap (default {DEFAULT_CAP})",
+        ),
+        "--jobs": _Option(
+            "jobs", int,
+            help="run an audit's one search in a worker process, which gains "
+            "nothing and is slated for removal (default: MPTURAN_JOBS, else serial)",
+        ),
+        "--seed": _Option("seed", int, help="shuffle the pair order deterministically"),
+        **_output("text", "json"),
+    }),
+    "table": _Command("bounds for a range of part counts", _cmd_table, {
+        "--n": _N,
+        "--t": _T,
+        "--r": _Option("r", help="part count range, e.g. 5..13 or 8 (default t+1..4t)"),
+        **_output("text", "json"),
+    }),
+}
+
+
+def _parse_plain(command: _Command, argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for ``argv[1:]`` when it is all pairs of
+    an exact option string of ``command`` and a value that is non-empty,
+    does not start with ``-``, converts by the option's type and lies in
+    its choices, and every required option is given; else None.
+
+    Its entries come in argparse's order: ``command``, each option's
+    default in declaration order, then ``func``. A repeated option keeps
+    its last value, and an appending one gets a new list.
+    """
+    options = command.options
+    rest = argv[1:]
+    if len(rest) % 2:
+        return None
+    args = SimpleNamespace(command=argv[0])
+    ns = vars(args)
+    for option in options.values():
+        ns[option.dest] = option.default
+    ns["func"] = command.func
+    given = set()
+    try:
+        for flag, raw in zip(rest[::2], rest[1::2]):
+            option = options[flag]
+            if not raw or raw[0] == "-":
+                return None
+            value = raw if option.type is None else option.type(raw)
+            if option.choices is not None and value not in option.choices:
+                return None
+            if option.action == "append":
+                # a new list, as argparse makes, so that no call extends a default
+                value = [*(ns[option.dest] or ()), value]
+            ns[option.dest] = value
+            given.add(flag)
+    except (KeyError, ValueError):
+        return None
+    for flag, option in options.items():
+        if option.required and flag not in given:
+            return None
+    return args
+
+
+# Built on the first command line ``_parse_plain`` declines, not at import,
+# and kept for the process; the one place ``argparse`` is imported. Parsing
+# keeps no state in the parser: each call gets a fresh namespace, and every
+# ``_cmd_*`` resolves the functions it calls when it runs.
 @cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mpturan",
         description=(
@@ -492,170 +638,38 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="best known bounds for one instance")
-    p.add_argument("--n", type=int, required=True, help="size of every part")
-    p.add_argument("--r", type=int, required=True, help="number of parts")
-    p.add_argument("--t", type=int, required=True, help="largest allowed clique order")
-    _add_common_output(p, ("text", "json"))
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("construct", help="build an extremal graph")
-    p.add_argument(
-        "--method",
-        choices=tuple(_METHODS),
-        required=True,
-        help="construction family",
-    )
-    p.add_argument("--n", type=int, required=True, help="size of every part")
-    p.add_argument(
-        "--r", type=int, required=True, help="number of parts (per block for composition)"
-    )
-    p.add_argument(
-        "--t",
-        type=int,
-        required=True,
-        help="largest allowed clique order (covering size of the inner family "
-        "for composition)",
-    )
-    p.add_argument(
-        "--k", type=int, default=2, help="number of blocks (composition only, default 2)"
-    )
-    _add_common_output(p, ("text", "json", "dimacs"))
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("verify", help="check claims about a graph file")
-    p.add_argument("--in", dest="infile", required=True, metavar="PATH",
-                   help="graph file, JSON or DIMACS")
-    p.add_argument(
-        "--claim",
-        action="append",
-        metavar="KIND=VALUE",
-        help=f"claim to check exactly; kinds: {', '.join(_CLAIMS)}; repeatable",
-    )
-    p.add_argument(
-        "--aes",
-        type=int,
-        metavar="T",
-        help="also test the min-degree threshold coloring statement at this t",
-    )
-    _add_common_output(p, ("text", "json"))
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("oracle", help="exhaustive search on a tiny instance")
-    p.add_argument("--mode", choices=("f", "delta", "audit"), required=True)
-    p.add_argument("--n", type=int, required=True, help="size of every part")
-    p.add_argument("--r", type=int, required=True, help="number of parts")
-    p.add_argument(
-        "--t",
-        type=int,
-        required=True,
-        help="largest allowed clique order; the search forbids cliques on "
-        "t + 1 vertices, and covering modes use crossing sets of t + 1",
-    )
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_CAP,
-        help=f"vertex-count safety cap (default {DEFAULT_CAP})",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        help="run an audit's one search in a worker process, which gains "
-        "nothing and is slated for removal (default: MPTURAN_JOBS, else serial)",
-    )
-    p.add_argument("--seed", type=int, help="shuffle the pair order deterministically")
-    _add_common_output(p, ("text", "json"))
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("table", help="bounds for a range of part counts")
-    p.add_argument("--n", type=int, required=True, help="size of every part")
-    p.add_argument("--t", type=int, required=True, help="largest allowed clique order")
-    p.add_argument("--r", help="part count range, e.g. 5..13 or 8 (default t+1..4t)")
-    _add_common_output(p, ("text", "json"))
-    p.set_defaults(func=_cmd_table)
-
-    # the command parsers by name, which ``_parse`` hands argv to, each with
-    # the table ``_parse_plain`` reads
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, option in command.options.items():
+            p.add_argument(flag, **option._asdict())
+        p.set_defaults(func=command.func)
+    # the command parsers by name, which ``_parse`` hands argv to
     parser.commands = sub.choices
-    for p in sub.choices.values():
-        p.plain = _option_table(p)
     return parser
 
 
-def _option_table(p: argparse.ArgumentParser) -> tuple[dict, list, dict]:
-    """The actions of ``p`` that take exactly one value, by option string;
-    its required actions; and the namespace entries argparse starts from:
-    each action's default in action order, then the parser-level ones."""
-    one_value = (argparse._StoreAction, argparse._AppendAction)
-    options = {
-        option: action
-        for action in p._actions
-        if type(action) in one_value and action.nargs is None
-        for option in action.option_strings
-    }
-    defaults: dict = {}
-    for action in p._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-    for dest, default in p._defaults.items():
-        defaults.setdefault(dest, default)
-    return options, [a for a in p._actions if a.required], defaults
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """``_build_parser().parse_args(argv)``, as a ``SimpleNamespace``, with
+    argparse left unloaded when ``argv`` is a plain command line.
 
-
-def _parse_plain(command: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives for ``argv[1:]`` when it is all pairs of
-    an exact option string of ``command.plain`` and a value that is
-    non-empty, does not start with ``-``, converts by the action's type and
-    lies in its choices, and every required option is given; else None."""
-    options, required, defaults = command.plain
-    rest = argv[1:]
-    if len(rest) % 2:
-        return None
-    args = argparse.Namespace()
-    ns = vars(args)
-    ns["command"] = argv[0]
-    ns.update(defaults)
-    seen = set()
-    try:
-        for option, raw in zip(rest[::2], rest[1::2]):
-            action = options[option]
-            if not raw or raw[0] == "-":
-                return None
-            value = raw if action.type is None else action.type(raw)
-            if action.choices is not None and value not in action.choices:
-                return None
-            if type(action) is argparse._AppendAction:
-                # a new list, as argparse makes, so that no call extends a default
-                value = [*(ns[action.dest] or ()), value]
-            ns[action.dest] = value
-            seen.add(action)
-    except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError):
-        return None
-    return args if seen.issuperset(required) else None
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, with the work of its top-level
-    parser skipped when ``argv`` starts with a command name.
-
-    That parser would only look through every argument for its own ``-h``
-    and then hand the rest to the command's parser. A plain command line,
-    exact ``--option value`` pairs only, is read from the command's option
-    table by ``_parse_plain``. Any other goes to the command's parser, and
+    A plain command line, a command name and then exact ``--option value``
+    pairs only, is read from ``_COMMANDS`` by ``_parse_plain``. Any other
+    that starts with a command name goes to that command's parser, and
     what it leaves over goes to the top-level ``error``, which is where the
-    top-level parser sends it; so every refusal keeps argparse's message
-    and exit code.
+    top-level parser sends it; the rest goes to the top-level parser. So
+    every refusal keeps argparse's message and exit code.
     """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args = _parse_plain(command, argv)
+        if args is not None:
+            return args
     parser = _build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
     if command is None:
-        return parser.parse_args(argv)
-    args = _parse_plain(command, argv)
-    if args is not None:
-        return args
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        return parser.parse_args(argv, SimpleNamespace())
+    args, extras = parser.commands[argv[0]].parse_known_args(
+        argv[1:], SimpleNamespace(command=argv[0])
+    )
     if extras:
         parser.error("unrecognized arguments: " + " ".join(extras))
     return args

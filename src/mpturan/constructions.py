@@ -20,8 +20,7 @@ inputs produce identical edge sets.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import (
     _BY_NAME,
@@ -35,6 +34,9 @@ from .bounds import (
 from .errors import DomainError, InternalConsistencyError
 from .graphs import ColorPartition, MultipartiteGraph, complete_multipartite, empty_graph
 from .verifier import find_crossing_independent
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ConstructionOutput",
@@ -175,6 +177,8 @@ def block_composition(
     are completely joined, and large sides are completely joined within a
     block. No other edges exist.
     """
+    from fractions import Fraction
+
     delta0 = Fraction(delta0)
     r0 = inner.n_parts
     bound = composition_bound(n, r0, t0, k, delta0)  # validates n, t0, r0, k, delta0
@@ -184,7 +188,7 @@ def block_composition(
             f"inner graph parts must all have size {slice_size}, "
             f"got {list(inner.part_sizes)}"
         )
-    if Fraction(inner.max_degree()) > delta0 * slice_size:
+    if inner.max_degree() > delta0 * slice_size:
         raise DomainError(
             f"inner graph max degree {inner.max_degree()} exceeds "
             f"delta0 * l = {delta0 * slice_size}"

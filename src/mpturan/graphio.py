@@ -20,7 +20,6 @@ gives a graph or raises ``GraphStructureError``.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import stat
@@ -28,7 +27,6 @@ from array import array
 from collections.abc import Iterable, Iterator
 from itertools import repeat
 from operator import sub
-from pathlib import Path
 
 from .errors import GraphStructureError
 from .graphs import MAX_VERTICES, MultipartiteGraph, bit_indices, from_edges
@@ -82,10 +80,14 @@ def graph_from_json_dict(doc: dict) -> MultipartiteGraph:
 
 def dumps_graph(g: MultipartiteGraph) -> str:
     """Canonical serialization: sorted keys, no whitespace, sorted edges."""
+    import json
+
     return json.dumps(graph_to_json_dict(g), sort_keys=True, separators=(",", ":"))
 
 
 def loads_graph(text: str) -> MultipartiteGraph:
+    import json
+
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -94,7 +96,7 @@ def loads_graph(text: str) -> MultipartiteGraph:
     return graph_from_json_dict(doc)
 
 
-def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+def write_text(path: str | os.PathLike, chunks: Iterable[str]) -> None:
     """Replace the contents of ``path`` with the concatenation of ``chunks``,
     a string or any iterable of strings, as UTF-8.
 

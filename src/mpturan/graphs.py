@@ -18,7 +18,6 @@ Graphs are immutable once built.
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from collections import deque
 from itertools import chain, compress, count, repeat
@@ -192,6 +191,8 @@ class MultipartiteGraph:
         as ceil(n / 8) little-endian bytes. Equal graphs hash equal whatever
         format they were read from.
         """
+        import hashlib
+
         width = (self.n_vertices + 7) >> 3
         h = hashlib.sha256(b"mpturan.graph.rows.v1\0")
         h.update(",".join(map(str, self.part_sizes)).encode() + b"\0")

@@ -64,7 +64,6 @@ command, pays nothing for ``concurrent.futures`` and ``multiprocessing``.
 
 from __future__ import annotations
 
-import random
 from typing import NamedTuple
 
 from .errors import DomainError, InternalConsistencyError, SizeCapError
@@ -135,6 +134,8 @@ def _cross_pairs(n: int, r: int, seed: int | None) -> list[tuple[int, int]]:
         if u // n != v // n
     ]
     if seed is not None:
+        import random
+
         random.Random(seed).shuffle(pairs)
     return pairs
 
@@ -347,15 +348,16 @@ def _solve(
             f"capped at {cap}; pass a larger cap to override"
         )
     pairs = _cross_pairs(n, r, seed)
-    gens = _position_perms(n, r, pairs) if symmetry_reduction else ()
 
     # the empty graph is feasible at target 0, and target 0 is the answer
     # only when size is 2, where it is the one feasible graph. The default
     # search tries its ceiling first, the answer on most instances, and
     # the reference bisects from the first step. Either way lo is last set
     # by the step at the answer, so the ceiling changes no witness; at
-    # size 2 the ceiling is 0, no step runs and the empty graph stands.
+    # size 2 the ceiling is 0, no step runs and the empty graph stands, so
+    # the symmetry generators are built only when a step will read them.
     high = _ceiling(n, r, size) if symmetry_reduction else (r - 1) * n
+    gens = _position_perms(n, r, pairs) if symmetry_reduction and high > 0 else ()
     mid = high if symmetry_reduction else (high + 1) // 2
     lo, best = 0, [0] * (r * n)
     while lo < high:

@@ -24,7 +24,6 @@ share a color, so a blow-up shrinks to a few classes per part.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .bounds import aes_threshold
@@ -267,7 +266,7 @@ def aes_check(g: MultipartiteGraph, t: int) -> str:
     threshold = aes_threshold(t, g.n_vertices)
     if find_clique(g, t + 1) is not None:
         return VACUOUS
-    if Fraction(g.min_degree()) <= threshold:
+    if g.min_degree() <= threshold:
         return VACUOUS
     return CONFIRMED if find_coloring(g, t) is not None else REFUTED
 
@@ -319,9 +318,12 @@ def _none_found(found: tuple[int, ...] | None) -> tuple[bool, list[int] | None]:
 
 
 def _extreme_degree(g: MultipartiteGraph, value: int, extreme) -> tuple[bool, dict]:
-    at = extreme(range(g.n_vertices), key=g.degree)
-    measured = g.degree(at)
-    return measured == value, {"vertex": at, "degree": measured}
+    """Whether the least (``min``) or greatest (``max``) degree is
+    ``value``, with the first vertex of that degree; one pass over the
+    rows' bit counts."""
+    degrees = list(map(int.bit_count, g.rows))
+    measured = extreme(degrees)
+    return measured == value, {"vertex": degrees.index(measured), "degree": measured}
 
 
 def _colorable(g: MultipartiteGraph, t: int) -> tuple[bool, list[int] | None]:

@@ -18,7 +18,13 @@ from mpturan import cli
 from mpturan.cli import MAX_TABLE_ROWS, main
 from mpturan.constructions import sliced_blowup
 from mpturan.errors import GraphStructureError
-from mpturan.graphio import from_dimacs, graph_to_json_dict, loads_graph, to_dimacs
+from mpturan.graphio import (
+    dumps_graph,
+    from_dimacs,
+    graph_to_json_dict,
+    loads_graph,
+    to_dimacs,
+)
 
 
 def run(capsys, *argv):
@@ -915,7 +921,7 @@ def test_reused_parser_keeps_calls_independent(tmp_path, capsys):
         assert _help_text(capsys, *command) == first
 
 
-def _count_parsers(monkeypatch, calls: int) -> int:
+def _count_parsers(monkeypatch, calls: int, argv: list[str]) -> int:
     built = []
     real_init = argparse.ArgumentParser.__init__
 
@@ -927,14 +933,18 @@ def _count_parsers(monkeypatch, calls: int) -> int:
     with monkeypatch.context() as patch:
         patch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         for _ in range(calls):
-            assert main(["bounds", "--n", "1", "--r", "7", "--t", "3"]) == 0
+            assert main(argv) == 0
     return len(built)
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
-    once = _count_parsers(monkeypatch, 1)
+    # an option written --n=1 is read by argparse, not by the option table
+    argv = ["bounds", "--n=1", "--r", "7", "--t", "3"]
+    once = _count_parsers(monkeypatch, 1, argv)
     assert once == 6  # the top-level parser and one per subcommand
-    assert _count_parsers(monkeypatch, 50) == once
+    assert _count_parsers(monkeypatch, 50, argv) == once
+    # a plain command line builds none
+    assert _count_parsers(monkeypatch, 50, ["bounds", "--n", "1", "--r", "7", "--t", "3"]) == 0
 
 
 def test_importing_the_cli_builds_no_parser():
@@ -974,6 +984,74 @@ def test_importing_the_cli_loads_no_pool_and_no_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# modules a plain command loads only when it uses them: the parser, the
+# digest, exact rationals, the JSON reader, the shuffled pair order, the
+# process pool and dataclasses
+_DEFERRED = frozenset({
+    "argparse", "hashlib", "fractions", "decimal", "json", "random",
+    "concurrent.futures", "dataclasses",
+})
+
+
+@pytest.mark.parametrize(
+    "argv, uses",
+    [
+        (["bounds", "--n", "5", "--r", "7", "--t", "3"], set()),
+        (["table", "--n", "5", "--t", "3", "--format", "json"], set()),
+        (["construct", "--method", "turan", "--n", "2", "--r", "4", "--t", "3"], set()),
+        (["construct", "--method", "composition", "--n", "20", "--r", "5", "--t", "3"],
+         {"fractions", "decimal"}),
+        (["verify", "--in", "{dimacs}", "--claim", "kfree=4"], {"hashlib"}),
+        (["verify", "--in", "{json}", "--claim", "kfree=4"], {"hashlib", "json"}),
+        (["verify", "--in", "{dimacs}", "--aes", "3"], {"hashlib", "fractions", "decimal"}),
+        (["oracle", "--mode", "audit", "--n", "1", "--r", "4", "--t", "3"], set()),
+        (["oracle", "--mode", "audit", "--n", "1", "--r", "4", "--t", "3", "--seed", "1"],
+         {"random"}),
+    ],
+    ids=["bounds", "table", "turan", "composition", "verify dimacs", "verify json",
+         "verify aes", "audit", "audit seeded"],
+)
+def test_a_plain_command_loads_only_the_modules_it_uses(tmp_path, argv, uses):
+    # each command in a fresh interpreter without the site module, whose
+    # .pth files may import any of these before the command starts
+    g = sliced_blowup(3, 5, 3).graph
+    files = {"dimacs": tmp_path / "g.col", "json": tmp_path / "g.json"}
+    files["dimacs"].write_text(to_dimacs(g))
+    files["json"].write_text(dumps_graph(g))
+    argv = [word.format(**files) for word in argv]
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from mpturan.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert loaded & _DEFERRED <= uses
+
+
+def test_help_and_usage_bytes_are_pinned(monkeypatch):
+    # argparse's help and usage text of the top-level parser and of each
+    # command parser, at 80 columns, as the parsers printed them when each
+    # option was declared in its own add_argument call; every refusal
+    # prints one of these usage lines
+    monkeypatch.setenv("COLUMNS", "80")
+    top = cli._build_parser()
+    h = hashlib.sha256()
+    for name in (None, "bounds", "construct", "verify", "oracle", "table"):
+        p = top if name is None else top.commands[name]
+        h.update(p.format_help().encode())
+        h.update(p.format_usage().encode())
+    assert h.hexdigest() == "b37b1c41e7ab59520c8d306fd43ed6b24c4bec173a9e6691c6c83cac3074e8b6"
 
 
 # -- the argv parse and the JSON writer ------------------------------------
@@ -1020,10 +1098,11 @@ def _argv(draw):
 
 
 def _parse_outcome(parse, argv):
+    # a namespace as its entries, key order included, whatever its type
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = parse(list(argv))
+            result = list(vars(parse(list(argv))).items())
         except SystemExit as exc:
             result = ("exit", exc.code)
     return result, out.getvalue(), err.getvalue()
@@ -1094,7 +1173,7 @@ def test_plain_command_lines_read_as_the_command_parser_does(argv):
     command = cli._build_parser().commands[argv[0]]
     want, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     assert extras == []
-    got = cli._parse_plain(command, argv)
+    got = cli._parse_plain(cli._COMMANDS[argv[0]], argv)
     assert got is not None
     assert list(vars(got).items()) == list(vars(want).items())
     assert list(vars(cli._parse(argv)).items()) == list(vars(want).items())
@@ -1123,7 +1202,7 @@ def test_lines_the_table_does_not_read_go_to_argparse(argv):
     # starts with "-", a missing value, a missing or unknown option: argparse
     # reads each one, and its namespace, or its exit code and text, is what
     # the CLI gives
-    assert cli._parse_plain(cli._build_parser().commands[argv[0]], argv) is None
+    assert cli._parse_plain(cli._COMMANDS[argv[0]], argv) is None
     assert _parse_outcome(cli._parse, argv) == _parse_outcome(
         cli._build_parser().parse_args, argv
     )

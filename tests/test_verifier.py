@@ -205,6 +205,21 @@ def test_certify_unknown_claim(monkeypatch):
         certify(complete_multipartite([1] * 4), [("kfree", 3), ("girth", 5)])
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    multipartite_graphs(max_parts=6, max_part_size=4),
+    st.sampled_from([min, max]),
+    st.integers(-1, 1),
+)
+def test_extreme_degree_is_the_first_vertex_of_extreme_degree(g, extreme, offset):
+    # one pass over the rows gives the vertex and degree of the search by
+    # vertex: the first vertex of least or greatest degree
+    at = extreme(range(g.n_vertices), key=g.degree)
+    value = g.degree(at) + offset
+    want = (offset == 0, {"vertex": at, "degree": g.degree(at)})
+    assert verifier._extreme_degree(g, value, extreme) == want
+
+
 def test_certificate_json_round_trip():
     cert = certify(complete_multipartite([2, 2]), [("kfree", 3), ("min_degree", 2)])
     doc = json.loads(json.dumps(cert.to_json_dict()))
