@@ -9,7 +9,12 @@ Two formats:
   partition, 1-indexed as usual; the writer yields the text one vertex's
   run at a time, and the reader works on the file's bytes, takes each run
   of ``e h v`` lines under one head in one split and skips the runs of its
-  twins.
+  twins. A twin's run, the same lines under the next head, is written and
+  checked as a copy of the run before it with the head's changed digits
+  patched in place, one strided slice per digit and stretch of lines of
+  equal length, not one join step per line. In a file in another edge
+  order most lines are runs of one line with no twin, each read as one
+  edge.
 
 ``write_text`` writes any text given in pieces through the file's text
 buffer, so a streamed DIMACS or JSON file is never held whole in memory.
@@ -25,8 +30,8 @@ import re
 import stat
 from array import array
 from collections.abc import Iterable, Iterator
-from itertools import repeat
-from operator import sub
+from itertools import compress, count, islice, repeat
+from operator import ne, sub
 
 from .errors import GraphStructureError
 from .graphs import MAX_VERTICES, MultipartiteGraph, bit_indices, from_edges
@@ -124,24 +129,94 @@ def dimacs_chunks(g: MultipartiteGraph) -> Iterator[str]:
     """The text of ``to_dimacs(g)`` in pieces: the two header lines, then
     one piece per vertex with higher neighbors, holding that vertex's run.
 
-    Vertex names come from one table, and a row whose higher neighbors are
-    those of the row before it (as with twins) reuses that row's name list.
+    Vertex names come from one table. A row whose higher neighbors are
+    those of the row before it (as with twins) writes that row's run with
+    the new head: a copy of its bytes patched where the head digits differ,
+    or, where the head gains a digit or the run has few lines per stretch,
+    the same name list joined again.
     """
     n = g.n_vertices
     names = [str(v + 1) for v in range(n)]
     yield "c part-sizes " + " ".join(map(str, g.part_sizes)) + "\n"
     yield f"p edge {n} {g.edge_count()}\n"
-    previous, ids = 0, []
+    previous, ids, text, copy, stretches = 0, [], "", None, None
     for u, row in enumerate(g.rows):
         higher = row >> (u + 1)
         if higher:
+            head = names[u]
             # the same vertices as the previous row's list when the
             # previous row's higher mask is this one shifted up by one
             if higher << 1 != previous:
                 ids = list(map(names.__getitem__, bit_indices(higher, u + 1)))
-            head = f"e {u + 1} "
-            yield head + ("\n" + head).join(ids) + "\n"
+                copy = stretches = None
+            elif stretches is None:
+                # a line is ``e h v\n``: four bytes besides its two ids
+                stretches = _stretches(list(map(len, ids)), 4)
+                if stretches:
+                    copy = _RunCopy(text.encode(), names[u - 1], stretches)
+            if copy is not None and len(copy.head) == len(head):
+                text = copy.patch(head).decode()
+            else:
+                text = f"e {head} " + f"\ne {head} ".join(ids) + "\n"
+                if copy is not None:
+                    copy = _RunCopy(text.encode(), head, stretches)
+            yield text
         previous = higher
+
+
+_PATCH_LINES = 32
+"""Fewest lines per stretch at which a twin's run is patched from a copy of
+the run before it rather than joined from its pieces."""
+
+
+def _stretches(lengths: list[int], rest: int) -> list[tuple[int, int]]:
+    """One (line count, line length less the head) per stretch of a run,
+    a stretch being consecutive lines of equal length, given the length of
+    each line less its head and ``rest`` more bytes. Empty where the run has
+    fewer than ``_PATCH_LINES`` lines per stretch."""
+    limit = len(lengths) // _PATCH_LINES
+    cuts = list(islice(compress(count(1), map(ne, lengths, islice(lengths, 1, None))), limit))
+    if len(cuts) == limit:
+        return []
+    return [
+        (stop - start, lengths[start] + rest)
+        for start, stop in zip([0, *cuts], [*cuts, len(lengths)])
+    ]
+
+
+class _RunCopy:
+    """The bytes of a run of ``e h v`` lines under the head ``head``, with
+    the head's place in each stretch, so that the run under the next head of
+    the same length is one strided slice assignment per differing digit and
+    stretch away."""
+
+    __slots__ = ("buf", "head", "spans")
+
+    def __init__(self, text: bytes, head: str, stretches: list[tuple[int, int]]) -> None:
+        self.buf = bytearray(text)
+        self.head = head
+        # per stretch: its first head byte, its end, its line length, and
+        # each digit repeated once per line, as a bytearray, which a slice
+        # assignment takes without the copy it makes of bytes
+        self.spans = []
+        start = 0
+        for lines, rest in stretches:
+            step = rest + len(head)
+            fills = {digit: bytearray(digit, "ascii") * lines for digit in "0123456789"}
+            self.spans.append((start + 2, start + lines * step, step, fills))
+            start += lines * step
+
+    def patch(self, head: str) -> bytearray:
+        """The buffer, rewritten to hold the run under ``head``, the name of
+        the number one above the buffer's head. The digits that differ are
+        the last one and those that carry, the zeros before it."""
+        buf = self.buf
+        for k in range(len(head.rstrip("0")) - 1, len(head)):
+            digit = head[k]
+            for first, end, step, fills in self.spans:
+                buf[first + k : end : step] = fills[digit]
+        self.head = head
+        return buf
 
 
 def to_dimacs(g: MultipartiteGraph) -> str:
@@ -155,12 +230,17 @@ within them, or, where none is in them or it starts with an edge line that
 is not a run, at the next newline after them, so that a large file never
 becomes one list of millions of lines."""
 
-_RUN = re.compile(rb"e (\d{1,10}) \d+\r?\n(?:e \1 \d+\r?\n){0,%d}" % (MAX_VERTICES - 2))
+_RUN = re.compile(rb"e (\d{1,10}) (\d+)\r?\n(?:e \1 \d+\r?\n){0,%d}" % (MAX_VERTICES - 2))
 """One vertex's run as ``to_dimacs`` writes it: ``e h v`` lines under one
 head h, at most ``MAX_VERTICES - 1`` of them. The bound keeps a match within
 one run, so a long text under one head is not scanned again from every
 block, which would take quadratic time; ten digits keep ``int`` on the head
-far below the interpreter's digit limit."""
+far below the interpreter's digit limit. The first neighbor is a group too,
+so that a run of one line is read from the match alone."""
+
+
+_MAX_ID = (1 << 8 * array("I").itemsize) - 1
+"""Largest 0-based id the line parser's unsigned arrays hold."""
 
 
 def _malformed(lineno: int, what: str, raw: str) -> GraphStructureError:
@@ -222,12 +302,16 @@ def from_dimacs(data: bytes | str) -> MultipartiteGraph:
     surrogates, so that any string reads as text.
 
     The bytes are read in blocks. A run, one match of ``_RUN`` under a head
-    h, is a block of its own, read in one split: its neighbors are every
-    third field, and ``from_edges`` receives the run as one group. The run
-    then becomes a template, kept as its text split on its line prefix
-    ``e h ``. Where the bytes continue with those pieces joined by
-    ``e h+1 ``, those lines are counted but not parsed: they are the
-    template's edges with the new head, which joins the template's group.
+    h, is a block of its own. A run of one line that no twin follows, as in
+    a file in another edge order, is one edge for the per-line parser's
+    arrays. Any other run is read in one split on its line prefix ``e h ``,
+    one neighbor per piece, and ``from_edges`` receives it as one group.
+    Where the bytes continue with the same run under the head h + 1, a
+    twin, those lines are counted but not parsed, and the new head joins the
+    group. The first twin, and one whose head gains a digit, is compared
+    with the pieces joined by ``e h+1 ``; each later one with a ``_RunCopy``
+    of the twin before it, patched in place, unless the run has fewer than
+    ``_PATCH_LINES`` lines per stretch.
     Any other block ends at the first edge line, or spans ``_WINDOW`` bytes
     when it starts with one, and is decoded and given to one per-line
     parser; so is a run with an id that the parser would refuse, so that
@@ -241,25 +325,53 @@ def from_dimacs(data: bytes | str) -> MultipartiteGraph:
     while pos < end_of_text:
         run = _RUN.match(data, pos)
         if run:
-            # the run is one block, its neighbors every third field; an id
-            # that fits no 0-based "I" entry leaves the block to the line
-            # parser, which names its line
             end = run.end()
+            if end - run.end(2) <= 2 and not data.startswith(b"e %d " % (int(run[1]) + 1), end):
+                # a one-line run that no twin follows is an edge; both ids
+                # are checked before either is kept, and a neighbor of more
+                # than ten digits, which fits no entry, is left to the parser
+                u, v = int(run[1]) - 1, int(run[2]) - 1 if len(run[2]) <= 10 else -1
+                if 0 <= u <= _MAX_ID and 0 <= v <= _MAX_ID:
+                    lines.us.append(u)
+                    lines.vs.append(v)
+                    lines.lineno += 1
+                    pos = end
+                    continue
+            # the line prefix ``e h `` opens each line of the run and occurs
+            # nowhere else in it, so each piece after the first holds one
+            # neighbor; a str split, join and encode beat those of bytes.
+            # An id that fits no 0-based "I" entry leaves the block to the
+            # line parser, which names its line
+            pieces = run[0].decode().split(f"e {run[1].decode()} ")
             heads = [int(run[1]) - 1]
             try:
                 array("I", heads)  # the parser's range check on the head
-                neighbors = array("I", map(sub, map(int, run[0].split()[2::3]), repeat(1)))
+                neighbors = array("I", map(sub, map(int, islice(pieces, 1, None)), repeat(1)))
             except (ValueError, OverflowError):
                 pass
             else:
-                groups.append((heads, neighbors))
-                # ``e h `` opens each line of the run and occurs nowhere else
-                # in it, so a twin's run is its pieces joined by ``e h+1 ``;
-                # a str join and one encode beat joining bytes pieces
-                pieces = run[0].decode().split(f"e {run[1].decode()} ")
-                while data.startswith(twin := f"e {heads[-1] + 2} ".join(pieces).encode(), end):
+                # a twin's run is the run under the next head: its pieces
+                # joined by ``e h+1 ``, or, once a twin has matched, a copy
+                # of that twin's bytes patched where the head digits differ
+                copy = stretches = None
+                while data.startswith(b"e %d " % (heads[-1] + 2), end):
+                    twin_head = str(heads[-1] + 2)
+                    patched = copy is not None and len(copy.head) == len(twin_head)
+                    if patched:
+                        twin = copy.patch(twin_head)
+                    else:
+                        twin = f"e {twin_head} ".join(pieces).encode()
+                    if not data.startswith(twin, end):
+                        break
                     heads.append(heads[-1] + 1)
                     end += len(twin)
+                    if not patched:
+                        if stretches is None:
+                            # a line is ``e h v`` and its line break: three
+                            # bytes besides the head and its piece
+                            stretches = _stretches(list(map(len, islice(pieces, 1, None))), 3)
+                        copy = _RunCopy(twin, twin_head, stretches) if stretches else None
+                groups.append((heads, neighbors))
                 lines.lineno += len(heads) * len(neighbors)
                 pos = end
                 continue

@@ -84,7 +84,7 @@ def _normalized_part_sizes(part_sizes: Iterable[int]) -> tuple[int, ...]:
 class MultipartiteGraph:
     """Immutable graph on labeled parts; edges join distinct parts only."""
 
-    __slots__ = ("part_sizes", "part_of", "part_masks", "full_mask", "rows")
+    __slots__ = ("part_sizes", "part_of", "part_masks", "full_mask", "rows", "_digest")
 
     def __init__(self, part_sizes: Iterable[int], rows: Iterable[int]) -> None:
         n = self._set_parts(part_sizes)
@@ -189,8 +189,14 @@ class MultipartiteGraph:
 
         SHA-256 over a domain tag, the part sizes in decimal, and every row
         as ceil(n / 8) little-endian bytes. Equal graphs hash equal whatever
-        format they were read from.
+        format they were read from. The graph is immutable, so the first
+        call keeps the result for the later ones; a graph made from this one
+        starts without it.
         """
+        try:
+            return self._digest
+        except AttributeError:
+            pass
         import hashlib
 
         width = (self.n_vertices + 7) >> 3
@@ -198,7 +204,8 @@ class MultipartiteGraph:
         h.update(",".join(map(str, self.part_sizes)).encode() + b"\0")
         for row in self.rows:
             h.update(row.to_bytes(width, "little"))
-        return "sha256:" + h.hexdigest()
+        self._digest = "sha256:" + h.hexdigest()
+        return self._digest
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultipartiteGraph):
@@ -240,12 +247,13 @@ def from_edges(
 
     Repeated edges are harmless. An endpoint outside the vertex range, a
     self-loop, or a pair inside one part raises ``GraphStructureError``, as
-    does a vertex count above ``MAX_VERTICES``. Edge bits are set in one
-    bytearray per vertex. A group's vertex and neighbor masks are set in C
-    as one 0/1 byte per vertex, through an ``array("I")`` of its ids, which
-    refuses a negative id as the mask refuses one past the end; it then
-    costs one OR per vertex and one per neighbor; loops and intra-part
-    pairs are found on the finished rows with one mask test per vertex.
+    does a vertex count above ``MAX_VERTICES``. Where there are single
+    edges, their bits are set in one bytearray per vertex. A group's vertex
+    and neighbor masks are set in C as one 0/1 byte per vertex, through an
+    ``array("I")`` of its ids, which refuses a negative id as the mask
+    refuses one past the end; it then costs one OR per vertex and one per
+    neighbor; loops and intra-part pairs are found on the finished rows
+    with one mask test per vertex.
     """
     sizes = _normalized_part_sizes(part_sizes)
     n = sum(sizes)
@@ -253,22 +261,26 @@ def from_edges(
         raise GraphStructureError(
             f"{n} vertices exceed the limit of {MAX_VERTICES}"
         )
-    width = (n + 7) >> 3
-    bufs = [bytearray(width) for _ in range(n)]
-    bit = _BYTE_BITS
-    u = v = 0
-    try:
-        for u, v in edges:
-            if u < 0 or v < 0:  # a negative index would wrap around silently
-                raise IndexError
-            bufs[u][v >> 3] |= bit[v & 7]
-            bufs[v][u >> 3] |= bit[u & 7]
-    except IndexError:
-        if 0 <= u < n and 0 <= v < n:
-            raise
-        bad = v if 0 <= u < n else u
-        raise GraphStructureError(f"vertex id {bad} out of range [0, {n})") from None
-    rows = [int.from_bytes(b, "little") for b in bufs]
+    rows = [0] * n
+    edges = iter(edges)
+    # runs once where there are single edges, as its body takes the rest
+    for first in edges:
+        width = (n + 7) >> 3
+        bufs = [bytearray(width) for _ in range(n)]
+        bit = _BYTE_BITS
+        u = v = 0
+        try:
+            for u, v in chain((first,), edges):
+                if u < 0 or v < 0:  # a negative index would wrap around silently
+                    raise IndexError
+                bufs[u][v >> 3] |= bit[v & 7]
+                bufs[v][u >> 3] |= bit[u & 7]
+        except IndexError:
+            if 0 <= u < n and 0 <= v < n:
+                raise
+            bad = v if 0 <= u < n else u
+            raise GraphStructureError(f"vertex id {bad} out of range [0, {n})") from None
+        rows = [int.from_bytes(b, "little") for b in bufs]
     for vertices, neighbors in groups:
         masks = []
         for ids in (vertices, neighbors):

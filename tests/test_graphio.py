@@ -3,6 +3,7 @@ import os
 import random
 import tracemalloc
 from array import array
+from itertools import zip_longest
 
 import pytest
 from graph_strategies import multipartite_graphs
@@ -396,14 +397,17 @@ def test_write_text_leaves_no_old_tail_when_a_chunk_fails(tmp_path, size):
     assert path.read_bytes() == text.encode("utf-8")
 
 
-def _twins_text(count, edits=()):
-    """Vertices 1 to ``count`` are twins of part 0, each joined to the two
-    vertices of part 1. Each (vertex, text) in ``edits`` replaces that
-    vertex's run. With ``count`` past 9 or 99 the run of the next vertex
-    has a head one digit longer than its template's."""
-    runs = {u: f"e {u} {count + 1}\ne {u} {count + 2}" for u in range(1, count + 1)}
+def _twins_text(count, edits=(), others=2, newline="\n"):
+    """Vertices 1 to ``count`` are twins of part 0, each joined to the
+    ``others`` vertices of part 1. Each (vertex, text) in ``edits`` replaces
+    that vertex's run. With ``count`` past 9 or 99 the run of the next
+    vertex has a head one digit longer than its template's."""
+    runs = {
+        u: newline.join(f"e {u} {v}" for v in range(count + 1, count + others + 1))
+        for u in range(1, count + 1)
+    }
     runs.update(edits)
-    return f"c part-sizes {count} 2\n" + "\n".join(runs.values()) + "\n"
+    return f"c part-sizes {count} {others}" + newline + newline.join(runs.values()) + newline
 
 
 def _short_head_text():
@@ -415,6 +419,18 @@ def _short_head_text():
     runs[9] = "e 1 13\n" + runs[9]
     runs[10] = "e 11 3\n" + runs[10]
     return "c part-sizes 12 3\n" + "\n".join(runs) + "\n"
+
+
+def _single_lines_text(edits=()):
+    """The edges of K(3, 3, 3), ordered by their higher end and then by
+    falling head, so that each line is a run of one line that no twin
+    follows. Each (line index, text) in ``edits`` replaces that edge line,
+    which is line index + 2."""
+    edges = sorted(complete_multipartite([3, 3, 3]).edges(), key=lambda e: (e[1], -e[0]))
+    lines = [f"e {u + 1} {v + 1}" for u, v in edges]
+    for i, line in edits:
+        lines[i] = line
+    return "c part-sizes 3 3 3\n" + "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -473,6 +489,27 @@ def _short_head_text():
         ),
         pytest.param(twin_text([(3, "c note\ne 1 5")]), id="first-run-after-comment"),
         pytest.param(twin_text([(3, " e 1 5")]), id="first-run-after-indented-line"),
+        # edge lines one by one, in an order where few are followed by
+        # their twin, with ids out of range, leading zeros, other endings
+        *(
+            pytest.param(_single_lines_text(edits), id=f"single-lines-{k}")
+            for k, edits in enumerate(
+                [
+                    [],
+                    [(5, "e 0 3")],
+                    [(5, "e 3 0")],
+                    [(5, "e 4294967297 3")],
+                    [(5, "e 3 4294967297")],
+                    [(5, "e 3 " + "9" * 5000)],
+                    [(5, "e 4 09")],
+                    [(5, "e 04 9")],
+                    [(0, "e 8 9\r"), (1, "e 7 9 ")],
+                    # a line that repeats the one before it under the next
+                    # head: a run of one line with a twin, read as a group
+                    [(3, "e 4 7"), (4, "e 5 7")],
+                ]
+            )
+        ),
         # a run under head h after vertex 3's twin run is a block of its own
         *(
             pytest.param(
@@ -769,3 +806,119 @@ def test_from_dimacs_counts_skipped_runs_against_the_problem_line():
     text = to_dimacs(g).replace(f"p edge 600 {edges}\n", f"p edge 600 {edges + 1}\n")
     with pytest.raises(GraphStructureError, match=f"declares {edges + 1} edges, found {edges}"):
         from_dimacs(text)
+
+
+def _first_difference(text, expected):
+    """The first (line number, line, expected line) where two texts differ,
+    or None; a failed test shows this instead of a diff of the whole texts,
+    which takes minutes on tens of thousands of lines."""
+    pairs = zip_longest(text.splitlines(keepends=True), expected.splitlines(keepends=True))
+    return next(((i, a, b) for i, (a, b) in enumerate(pairs, 1) if a != b), None)
+
+
+def _record_stretches(monkeypatch):
+    """Make the writer and the reader record each run they find twins of:
+    its stretches, empty where that run's twins are joined, not patched."""
+    stretches = []
+    real = graphio._stretches
+
+    def recording_stretches(lengths, rest):
+        stretches.append(real(lengths, rest))
+        return stretches[-1]
+
+    monkeypatch.setattr(graphio, "_stretches", recording_stretches)
+    return stretches
+
+
+@pytest.mark.parametrize(
+    "part_sizes, stretch_lines",
+    [
+        # twins 1-15 over the neighbor boundary 99 -> 100, their heads
+        # over 9 -> 10
+        ([15, 120], [84, 36]),
+        # three lines a run, joined, across the heads 9, 99 and 999
+        ([1005, 3], []),
+        # forty lines a run, patched, across the same heads
+        ([1005, 40], [40]),
+        # the neighbors of part 0 cross 99 -> 100 and 999 -> 1000
+        ([95, 40, 900], [4, 900, 36]),
+    ],
+)
+def test_twin_runs_are_written_and_read_across_digit_boundaries(
+    monkeypatch, part_sizes, stretch_lines
+):
+    g = complete_multipartite(part_sizes)
+    stretches = _record_stretches(monkeypatch)
+    text = to_dimacs(g)
+    assert [lines for lines, _ in stretches[0]] == stretch_lines
+    assert _first_difference(text, reference_dimacs(g)) is None
+    groups = _record_groups(monkeypatch)
+    assert from_dimacs(text) == g
+    assert [len(heads) for heads, _ in groups][:1] == [part_sizes[0]]
+
+
+@pytest.mark.parametrize("u", [2, 9, 10, 12])
+@pytest.mark.parametrize("i", [0, 86, 87, 149])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda u, v: f"e {u} {v + 1}",  # one neighbor digit
+        lambda u, v: f"e {u + 1} {v}",  # one head digit
+        lambda u, v: f"e {u} {v}\r",  # one line ending
+        lambda u, v: f"e {u} 0{v}",  # one leading zero on the neighbor
+        lambda u, v: f"e 0{u} {v}",  # one leading zero on the head
+    ],
+    ids=["neighbor", "head", "crlf", "zero-neighbor", "zero-head"],
+)
+def test_patched_twin_runs_read_like_the_reference(u, i, edit):
+    # vertices 1 to 12 are twins joined to the 150 vertices of part 1, so
+    # each run has a stretch of 87 lines (neighbors 13 to 99) and one of 63
+    # (100 to 162), and the head gains a digit at vertex 10; line i of
+    # vertex u's run is edited
+    run = [f"e {u} {v}" for v in range(13, 163)]
+    run[i] = edit(u, 13 + i)
+    text = _twins_text(12, {u: "\n".join(run)}, others=150)
+    assert read_outcome(from_dimacs, text) == read_outcome(reference_parse, text)
+
+
+def test_twin_runs_read_in_crlf_are_patched(monkeypatch):
+    stretches = _record_stretches(monkeypatch)
+    groups = _record_groups(monkeypatch)
+    g = from_dimacs(_twins_text(12, others=150, newline="\r\n"))
+    assert g == complete_multipartite([12, 150])
+    assert stretches == [[(87, 3 + 4), (63, 3 + 5)]]
+    assert [heads for heads, _ in groups] == [list(range(12))]
+
+
+def test_a_run_whose_line_lengths_alternate_is_joined(monkeypatch):
+    # every other line ends in CRLF, so each stretch is one line long and
+    # each twin's run is joined from the pieces, not patched
+    lines = [f"e {u} {v}" + ("\r\n" if v % 2 else "\n")
+             for u in range(1, 41) for v in range(41, 141)]
+    text = "c part-sizes 40 100\n" + "".join(lines)
+    stretches = _record_stretches(monkeypatch)
+    groups = _record_groups(monkeypatch)
+    assert from_dimacs(text) == reference_parse(text) == complete_multipartite([40, 100])
+    assert stretches == [[]]
+    assert [heads for heads, _ in groups] == [list(range(40))]
+    assert _split_count(groups) == 100
+
+
+def test_from_dimacs_reads_a_shuffled_file_as_single_edges(monkeypatch):
+    # a line whose head is not the one before it plus one is a run no twin
+    # follows, and goes to the parser's edge arrays without becoming a group
+    g = sliced_blowup(60, 10, 3).graph
+    rng = random.Random(5)
+    text = reorder_edge_lines(to_dimacs(g), lambda lines: rng.sample(lines, len(lines)))
+    blocks = _record_parsed_blocks(monkeypatch)
+    groups = _record_groups(monkeypatch)
+    assert from_dimacs(text) == g
+    assert _line_count(blocks) == 2
+    assert len(groups) < g.edge_count() // 100
+
+
+def test_one_line_runs_with_twins_stay_one_group(monkeypatch):
+    # every vertex of part 0 joins the one vertex of part 1
+    groups = _record_groups(monkeypatch)
+    assert from_dimacs(to_dimacs(complete_multipartite([50, 1]))) == complete_multipartite([50, 1])
+    assert groups == [(list(range(50)), array("I", [50]))]

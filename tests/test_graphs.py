@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import pytest
@@ -62,6 +63,20 @@ def test_from_edges_groups_join_every_pair():
     assert from_edges([2, 2], [], [([0], []), ([], [2])]) == empty_graph([2, 2])
     # a repeated id sets its bit once: its masks OR, never add
     assert from_edges([2, 2, 2], [(2, 4)], [([1, 0, 1], [3, 2, 4, 3, 3])]) == g
+
+
+def test_from_edges_without_single_edges_allocates_no_row_buffers():
+    # 8,000 rows of 1,000 bytes each would be 8 MB; the one group needs
+    # two 8,000-byte masks and the rows it sets, next to the part data
+    part_sizes, groups = [4000, 4000], [([0, 1], [4000])]
+    tracemalloc.start()
+    try:
+        g = from_edges(part_sizes, iter(()), groups)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert g == from_edges(part_sizes, [(0, 4000), (1, 4000)])
 
 
 @pytest.mark.parametrize(
@@ -132,6 +147,25 @@ def test_digest_stable_and_sensitive():
     assert g.digest() == from_edges([2, 2], [(0, 2)]).digest()
     assert g.digest().startswith("sha256:")
     assert g.digest() != from_edges([2, 2], [(0, 3)]).digest()
+
+
+def test_digest_is_kept_once_computed_and_not_passed_on():
+    g = complete_multipartite([2, 3])
+    first = g.digest()
+    assert g.digest() is first
+    assert first == MultipartiteGraph(g.part_sizes, g.rows).digest()
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g)
+    assert back._digest == first and back.digest() == first
+    # graphs made from g hash their own rows
+    assert g.with_rows(g.rows).digest() == first
+    assert not hasattr(g.with_rows(g.rows), "_digest")
+    complement = g.cross_complement()
+    assert not hasattr(complement, "_digest")
+    assert complement.digest() == empty_graph([2, 3]).digest() != first
+    # a graph pickled before its first digest computes it after
+    fresh = pickle.loads(pickle.dumps(complete_multipartite([2, 3])))
+    assert not hasattr(fresh, "_digest") and fresh.digest() == first
 
 
 def test_color_partition_validation():
