@@ -34,7 +34,7 @@ import stat
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from functools import cache
-from itertools import chain, cycle, groupby, islice
+from itertools import chain, cycle, groupby, islice, repeat
 from operator import add
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -54,7 +54,14 @@ from .constructions import (
     turan_blowup,
 )
 from .errors import DomainError, GraphStructureError, InternalConsistencyError, SizeCapError
-from .graphio import dimacs_chunks, from_dimacs, graph_to_json_dict, loads_graph, write_text
+from .graphio import (
+    dimacs_chunks,
+    from_dimacs,
+    graph_to_json_dict,
+    loads_graph,
+    write_bytes,
+    write_text,
+)
 # not called here, but the benchmark's tracer wraps it by this module's name
 from .graphio import to_dimacs  # noqa: F401
 from .graphs import MAX_INPUT_BYTES, MAX_VERTICES, MultipartiteGraph
@@ -95,14 +102,23 @@ def _jobs(flag: int | None) -> int | None:
     return jobs
 
 
-def _stream(chunks: Iterable[str], out: str | None) -> None:
-    """Write the concatenation of ``chunks`` to ``out``, or to stdout without
-    one."""
+def _stream(
+    chunks: Iterable[str] | Iterable[bytes], out: str | None, binary: bool = False
+) -> None:
+    """Write the concatenation of ``chunks``, strings or, when ``binary``,
+    bytes-like pieces, to ``out``, or to stdout without one. Bytes go to
+    stdout's binary buffer, after any text before them; a stdout with no
+    such buffer, as ``contextlib.redirect_stdout`` can install, is given
+    them decoded."""
     try:
         if out:
-            write_text(out, chunks)
+            (write_bytes if binary else write_text)(out, chunks)
+        elif binary and hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.writelines(chunks)
+            sys.stdout.buffer.flush()
         else:
-            sys.stdout.writelines(chunks)
+            sys.stdout.writelines(map(str, chunks, repeat("utf-8")) if binary else chunks)
             sys.stdout.flush()
     except OSError as exc:
         if not out:
@@ -276,7 +292,7 @@ def _cmd_construct(args: SimpleNamespace) -> int:
     built = _METHODS[args.method](args)
     g = built.graph
     if args.format == "dimacs":
-        _stream(dimacs_chunks(g), args.out)
+        _stream(dimacs_chunks(g), args.out, binary=True)
     elif args.format == "json":
         doc = {
             "method": args.method,

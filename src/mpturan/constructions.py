@@ -20,6 +20,7 @@ inputs produce identical edge sets.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import (
@@ -67,26 +68,46 @@ def _overlay(
     profile: tuple[tuple[int, ...], ...], expected_min_degree: int, source: str
 ) -> ConstructionOutput:
     """The overlay graph of a profile with its witness coloring, refused
-    unless its minimum degree is ``expected_min_degree``."""
+    unless its minimum degree is ``expected_min_degree`` and the coloring is
+    proper.
+
+    Each nonzero cell (p, c) of the profile is a class of twins, a block of
+    consecutive vertices of part p that all share one row: the vertices
+    outside part p and color c. So the row is built and measured once per
+    cell, and the coloring checked once per cell: its color must be one of
+    the witness's colors and its size a vertex count, since the rows miss
+    their own class by construction.
+    """
     skeleton = empty_graph([sum(row) for row in profile])
-    colors = tuple(c for row in profile for c, size in enumerate(row) for _ in range(size))
-    coloring = ColorPartition(colors, len(profile[0]))
-    class_masks = coloring.class_masks()
-    rows: list[int] = []
+    num_colors = len(profile[0])
+    class_masks = [0] * num_colors
+    cells = []  # (part mask, color, size) per nonzero cell, in vertex order
+    start = 0
     for part_mask, row in zip(skeleton.part_masks, profile):
         for c, size in enumerate(row):
             if size:
-                rows += [skeleton.full_mask & ~part_mask & ~class_masks[c]] * size
-    graph = skeleton.with_rows(rows)
-    measured = graph.min_degree()
+                if size < 0 or c >= num_colors:
+                    raise InternalConsistencyError(f"{source}: witness coloring is not proper")
+                class_masks[c] |= ((1 << size) - 1) << start
+                cells.append((part_mask, c, size))
+                start += size
+    rows: list[int] = []
+    degrees = []
+    for part_mask, c, size in cells:
+        row = skeleton.full_mask & ~part_mask & ~class_masks[c]
+        degrees.append(row.bit_count())
+        rows += [row] * size
+    measured = min(degrees)
     if measured != expected_min_degree:
         raise InternalConsistencyError(
             f"{source}: built graph has minimum degree {measured}, "
             f"formula says {expected_min_degree}"
         )
-    if not coloring.is_proper(graph):
-        raise InternalConsistencyError(f"{source}: witness coloring is not proper")
-    return ConstructionOutput(graph, coloring, expected_min_degree, None, source)
+    _, colors, sizes = zip(*cells)
+    coloring = ColorPartition(tuple(chain.from_iterable(map(repeat, colors, sizes))), num_colors)
+    return ConstructionOutput(
+        skeleton.with_rows(rows), coloring, expected_min_degree, None, source
+    )
 
 
 def turan_blowup(n: int, r: int, t: int) -> ConstructionOutput:

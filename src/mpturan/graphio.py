@@ -6,18 +6,20 @@ Two formats:
   and the sorted edge list; serialization is byte-stable, so a load
   followed by a dump reproduces the input exactly;
 * DIMACS edge format with a ``c part-sizes`` comment carrying the
-  partition, 1-indexed as usual; the writer yields the text one vertex's
-  run at a time, and the reader works on the file's bytes, takes each run
-  of ``e h v`` lines under one head in one split and skips the runs of its
-  twins. A twin's run, the same lines under the next head, is written and
-  checked as a copy of the run before it with the head's changed digits
-  patched in place, one strided slice per digit and stretch of lines of
-  equal length, not one join step per line. In a file in another edge
-  order most lines are runs of one line with no twin, each read as one
-  edge.
+  partition, 1-indexed as usual. Both sides work in bytes: the writer
+  yields one vertex's run of ``e h v`` lines at a time, and the reader
+  takes each run under one head in one split, its neighbor names mapped to
+  ids through a name table, and skips the runs of its twins. A twin's run,
+  the same lines under the next head, is written and checked as a
+  ``_RunCopy`` of the run before it, a template that both sides build the
+  same way and move to the next head by one strided slice assignment per
+  stretch of lines of equal length, more only where a carry changes more
+  digits, not one join step per line. In a file in another edge order most
+  lines are runs of one line with no twin, each read as one edge.
 
-``write_text`` writes any text given in pieces through the file's text
-buffer, so a streamed DIMACS or JSON file is never held whole in memory.
+``write_bytes`` writes any bytes given in pieces through one buffer of the
+file, and ``write_text`` any text through it, encoded piece by piece, so a
+streamed DIMACS or JSON file is never held whole in memory.
 
 Both readers accept at most ``MAX_VERTICES`` vertices, and any text either
 gives a graph or raises ``GraphStructureError``.
@@ -30,8 +32,8 @@ import re
 import stat
 from array import array
 from collections.abc import Iterable, Iterator
-from itertools import compress, count, islice, repeat
-from operator import ne, sub
+from itertools import count, islice, repeat
+from operator import sub
 
 from .errors import GraphStructureError
 from .graphs import MAX_VERTICES, MultipartiteGraph, bit_indices, from_edges
@@ -101,22 +103,27 @@ def loads_graph(text: str) -> MultipartiteGraph:
     return graph_from_json_dict(doc)
 
 
-def write_text(path: str | os.PathLike, chunks: Iterable[str]) -> None:
-    """Replace the contents of ``path`` with the concatenation of ``chunks``,
-    a string or any iterable of strings, as UTF-8.
+_WRITE_BUFFER = 1 << 16
+"""Bytes the file writer gathers before each write: pieces shorter than
+this are copied into one buffer, longer ones written as they are."""
 
-    The chunks go through the file object's own buffer, so the text is
-    never held whole. The file is opened without O_TRUNC: truncating a file
-    whose last contents are not yet written back makes the open wait for
-    that writeback. A regular file is cut at the end of the bytes written,
-    also when a chunk or a write fails, so no old tail is left behind the
-    new text. Other targets, such as ``/dev/stdout`` or a FIFO, are written
-    in place; the path itself is never unlinked or replaced.
+
+def write_bytes(path: str | os.PathLike, chunks: Iterable[bytes]) -> None:
+    """Replace the contents of ``path`` with the concatenation of ``chunks``,
+    any iterable of bytes-like pieces, each written before the next is
+    asked for.
+
+    The file is opened without O_TRUNC: truncating a file whose last
+    contents are not yet written back makes the open wait for that
+    writeback. A regular file is cut at the end of the bytes written, also
+    when a chunk or a write fails, so no old tail is left behind the new
+    bytes. Other targets, such as ``/dev/stdout`` or a FIFO, are written in
+    place; the path itself is never unlinked or replaced.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8", newline="") as fh:
+    with open(fd, "wb", buffering=_WRITE_BUFFER) as fh:
         try:
-            fh.writelines((chunks,) if isinstance(chunks, str) else chunks)
+            fh.writelines(chunks)
             fh.flush()
         finally:
             # after a failure, what the buffer still holds is written at
@@ -125,110 +132,156 @@ def write_text(path: str | os.PathLike, chunks: Iterable[str]) -> None:
                 os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
-def dimacs_chunks(g: MultipartiteGraph) -> Iterator[str]:
-    """The text of ``to_dimacs(g)`` in pieces: the two header lines, then
+def write_text(path: str | os.PathLike, chunks: Iterable[str]) -> None:
+    """``write_bytes`` of ``chunks``, a string or any iterable of strings,
+    each encoded as UTF-8 on its way, so the text is never held whole."""
+    write_bytes(path, map(str.encode, (chunks,) if isinstance(chunks, str) else chunks))
+
+
+def _names(n: int) -> list[bytes]:
+    """The name of each 0-based vertex id below ``n`` as DIMACS writes it
+    at the end of a line: 1-based, with the line break."""
+    return [b"%d\n" % v for v in range(1, n + 1)]
+
+
+def dimacs_chunks(g: MultipartiteGraph) -> Iterator[bytes]:
+    """The bytes of ``to_dimacs(g)`` in pieces: the two header lines, then
     one piece per vertex with higher neighbors, holding that vertex's run.
+
+    A piece may be a ``bytearray`` that the next piece overwrites, so each
+    must be written or copied before the next is asked for.
 
     Vertex names come from one table. A row whose higher neighbors are
     those of the row before it (as with twins) writes that row's run with
-    the new head: a copy of its bytes patched where the head digits differ,
-    or, where the head gains a digit or the run has few lines per stretch,
-    the same name list joined again.
+    the new head: a ``_RunCopy`` of the run before it, patched, or, where
+    the head gains a digit or the run has few lines per stretch, the same
+    names joined again.
     """
     n = g.n_vertices
-    names = [str(v + 1) for v in range(n)]
-    yield "c part-sizes " + " ".join(map(str, g.part_sizes)) + "\n"
-    yield f"p edge {n} {g.edge_count()}\n"
-    previous, ids, text, copy, stretches = 0, [], "", None, None
-    for u, row in enumerate(g.rows):
-        higher = row >> (u + 1)
+    names = _names(n)
+    yield b"c part-sizes %s\n" % " ".join(map(str, g.part_sizes)).encode()
+    yield b"p edge %d %d\n" % (n, g.edge_count())
+    previous, pieces, copy, stretches = 0, [], None, None
+    for head, row in enumerate(g.rows, 1):
+        higher = row >> head
         if higher:
-            head = names[u]
             # the same vertices as the previous row's list when the
             # previous row's higher mask is this one shifted up by one
-            if higher << 1 != previous:
-                ids = list(map(names.__getitem__, bit_indices(higher, u + 1)))
+            twin = higher << 1 == previous
+            if not twin:
+                # an empty first piece, as the reader's split gives
+                pieces = [b""]
+                pieces += map(names.__getitem__, bit_indices(higher, head))
                 copy = stretches = None
-            elif stretches is None:
-                # a line is ``e h v\n``: four bytes besides its two ids
-                stretches = _stretches(list(map(len, ids)), 4)
-                if stretches:
-                    copy = _RunCopy(text.encode(), names[u - 1], stretches)
-            if copy is not None and len(copy.head) == len(head):
-                text = copy.patch(head).decode()
-            else:
-                text = f"e {head} " + f"\ne {head} ".join(ids) + "\n"
-                if copy is not None:
-                    copy = _RunCopy(text.encode(), head, stretches)
-            yield text
+            run = None if copy is None else copy.patch(head)
+            if run is None:
+                prefix = b"e %d " % head
+                run = prefix.join(pieces)
+                if twin:
+                    if stretches is None:
+                        stretches = _stretches(pieces, run, len(prefix))
+                    if stretches:
+                        copy = _RunCopy(run, head, stretches)
+            yield run
         previous = higher
 
 
 _PATCH_LINES = 32
-"""Fewest lines per stretch at which a twin's run is patched from a copy of
-the run before it rather than joined from its pieces."""
+"""Fewest lines per stretch, on average over a run, at which its twins are
+patched from a ``_RunCopy`` rather than joined from their pieces."""
 
 
-def _stretches(lengths: list[int], rest: int) -> list[tuple[int, int]]:
-    """One (line count, line length less the head) per stretch of a run,
-    a stretch being consecutive lines of equal length, given the length of
-    each line less its head and ``rest`` more bytes. Empty where the run has
-    fewer than ``_PATCH_LINES`` lines per stretch."""
-    limit = len(lengths) // _PATCH_LINES
-    cuts = list(islice(compress(count(1), map(ne, lengths, islice(lengths, 1, None))), limit))
-    if len(cuts) == limit:
+def _stretches(pieces: list[bytes], run: bytes, prefix: int) -> list[tuple[int, int]]:
+    """One (line count, piece length) per stretch of a run, a stretch being
+    consecutive lines of equal length, given the run's bytes, the length of
+    its line prefix ``e h `` and its pieces, the run split on that prefix.
+
+    The stretches are found by bisection on the piece lengths, which is
+    right where they ascend, as the writer's names do, and checked on the
+    run's bytes: each line holds one ``e``, at its start, so where each
+    line the stretches give starts with one and they end where the run
+    does, they are the run's. Empty where that check fails or the run has
+    fewer than ``_PATCH_LINES`` lines per stretch.
+    """
+    # not loaded by every interpreter's start, so imported where first used
+    from bisect import bisect_right
+
+    stretches, start = [], 1  # the first piece is the empty one before the first prefix
+    for length in range(len(pieces[1]), len(pieces[-1]) + 1):
+        stop = bisect_right(pieces, length, start, key=len)
+        if stop > start:
+            stretches.append((stop - start, length))
+            start = stop
+    if start < len(pieces) or len(stretches) * _PATCH_LINES >= len(pieces):
         return []
-    return [
-        (stop - start, lengths[start] + rest)
-        for start, stop in zip([0, *cuts], [*cuts, len(lengths)])
-    ]
+    offset = 0
+    for lines, length in stretches:
+        step = prefix + length
+        if run[offset : offset + lines * step : step] != b"e" * lines:
+            return []
+        offset += lines * step
+    return stretches if offset == len(run) else []
+
+
+_DIGITS = [bytearray(b"%d" % digit) for digit in range(10)]
 
 
 class _RunCopy:
-    """The bytes of a run of ``e h v`` lines under the head ``head``, with
-    the head's place in each stretch, so that the run under the next head of
-    the same length is one strided slice assignment per differing digit and
-    stretch away."""
+    """The bytes of a run of ``e h v`` lines under the head ``h``, with the
+    place of the head's last digit in each stretch, so that the run under
+    the next head of the same width is one strided slice assignment per
+    stretch away, or one per stretch and changed digit after a carry.
 
-    __slots__ = ("buf", "head", "spans")
+    ``stretches`` gives each stretch's line count and piece length, as
+    ``_stretches`` finds them; ``head`` is the number the run's head names."""
 
-    def __init__(self, text: bytes, head: str, stretches: list[tuple[int, int]]) -> None:
-        self.buf = bytearray(text)
-        self.head = head
-        # per stretch: its first head byte, its end, its line length, and
-        # each digit repeated once per line, as a bytearray, which a slice
-        # assignment takes without the copy it makes of bytes
+    __slots__ = ("buf", "limit", "spans")
+
+    def __init__(self, run: bytes, head: int, stretches: list[tuple[int, int]]) -> None:
+        self.buf = bytearray(run)
+        width = len(b"%d" % head)
+        self.limit = 10**width
+        # per stretch: the last head digit of its first line, its end, its
+        # line length, and each digit repeated once per line, as a
+        # bytearray, which a slice assignment takes without the copy it
+        # makes of bytes
         self.spans = []
         start = 0
-        for lines, rest in stretches:
-            step = rest + len(head)
-            fills = {digit: bytearray(digit, "ascii") * lines for digit in "0123456789"}
-            self.spans.append((start + 2, start + lines * step, step, fills))
-            start += lines * step
+        for lines, piece in stretches:
+            step = 3 + width + piece
+            end = start + lines * step
+            self.spans.append((start + 1 + width, end, step, [d * lines for d in _DIGITS]))
+            start = end
 
-    def patch(self, head: str) -> bytearray:
-        """The buffer, rewritten to hold the run under ``head``, the name of
-        the number one above the buffer's head. The digits that differ are
-        the last one and those that carry, the zeros before it."""
-        buf = self.buf
-        for k in range(len(head.rstrip("0")) - 1, len(head)):
-            digit = head[k]
-            for first, end, step, fills in self.spans:
-                buf[first + k : end : step] = fills[digit]
-        self.head = head
-        return buf
+    def patch(self, head: int) -> bytearray | None:
+        """The buffer, rewritten to hold the run under ``head``, one above
+        the buffer's head; None where ``head`` has more digits. Only the
+        last digit differs unless it is 0, where the carry also rewrites
+        the zeros before it and the digit it stops at."""
+        if head >= self.limit:
+            return None
+        buf, shift = self.buf, 0
+        while True:
+            digit = head % 10
+            for last, end, step, fills in self.spans:
+                buf[last - shift : end : step] = fills[digit]
+            if digit:
+                return buf
+            head //= 10
+            shift += 1
 
 
 def to_dimacs(g: MultipartiteGraph) -> str:
     """DIMACS text with one ``e u v`` line per edge, u < v, 1-based."""
-    return "".join(dimacs_chunks(g))
+    return b"".join(map(bytes, dimacs_chunks(g))).decode()
 
 
 _WINDOW = 1 << 18
 """Bytes a block that is not a run may span: it ends at the first edge line
-within them, or, where none is in them or it starts with an edge line that
-is not a run, at the next newline after them, so that a large file never
-becomes one list of millions of lines."""
+within them, or, where none is in them, at the next newline after them, so
+that a large file never becomes one list of millions of lines. A block that
+starts with an edge line that is not a run is one line long, and each such
+block right after it twice as long as the one before, up to this span."""
 
 _RUN = re.compile(rb"e (\d{1,10}) (\d+)\r?\n(?:e \1 \d+\r?\n){0,%d}" % (MAX_VERTICES - 2))
 """One vertex's run as ``to_dimacs`` writes it: ``e h v`` lines under one
@@ -296,6 +349,21 @@ class _LineParser:
         self.lineno = lineno
 
 
+def _neighbor_ids(pieces: list[bytes], ids: dict[bytes, int] | None) -> array | None:
+    """The 0-based ids of a run's pieces after the first, each an id and its
+    line break: looked up in the name table ``ids``, or, where a piece is
+    not in it, read by ``int``; None where an id fits no "I" entry."""
+    if ids is not None:
+        try:
+            return array("I", map(ids.__getitem__, islice(pieces, 1, None)))
+        except KeyError:
+            pass
+    try:
+        return array("I", map(sub, map(int, islice(pieces, 1, None)), repeat(1)))
+    except (ValueError, OverflowError):
+        return None
+
+
 def from_dimacs(data: bytes | str) -> MultipartiteGraph:
     """Read DIMACS edge format with a ``c part-sizes`` comment, from UTF-8
     bytes or from a string, which is encoded once on entry. Both ways pass
@@ -305,80 +373,82 @@ def from_dimacs(data: bytes | str) -> MultipartiteGraph:
     h, is a block of its own. A run of one line that no twin follows, as in
     a file in another edge order, is one edge for the per-line parser's
     arrays. Any other run is read in one split on its line prefix ``e h ``,
-    one neighbor per piece, and ``from_edges`` receives it as one group.
-    Where the bytes continue with the same run under the head h + 1, a
-    twin, those lines are counted but not parsed, and the new head joins the
-    group. The first twin, and one whose head gains a digit, is compared
-    with the pieces joined by ``e h+1 ``; each later one with a ``_RunCopy``
-    of the twin before it, patched in place, unless the run has fewer than
-    ``_PATCH_LINES`` lines per stretch.
-    Any other block ends at the first edge line, or spans ``_WINDOW`` bytes
-    when it starts with one, and is decoded and given to one per-line
-    parser; so is a run with an id that the parser would refuse, so that
-    each error names its line as that parser does.
+    one neighbor and its line break per piece, each piece mapped to its id
+    by a name table built once the part sizes are known, or by ``int``
+    where it is not in the table, and ``from_edges`` receives it as one
+    group. Where the bytes continue with the same run under the head h + 1,
+    a twin, those lines are counted but not parsed, and the group's heads,
+    a ``range``, grow by one. The first twin, and one whose head gains a
+    digit, is compared with the pieces joined by ``e h+1 ``; each later one
+    with a ``_RunCopy`` of the twin before it, patched in place, unless the
+    run has fewer than ``_PATCH_LINES`` lines per stretch.
+    Any other block is decoded and given to one per-line parser; so is a
+    run with an id that the parser would refuse, so that each error names
+    its line as that parser does.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
     lines = _LineParser()
-    groups: list[tuple[list[int], array]] = []
-    pos, end_of_text = 0, len(data)
+    groups: list[tuple[range, array]] = []
+    ids = None
+    pos, end_of_text, reach = 0, len(data), 0
     while pos < end_of_text:
         run = _RUN.match(data, pos)
         if run:
+            reach = 0
             end = run.end()
-            if end - run.end(2) <= 2 and not data.startswith(b"e %d " % (int(run[1]) + 1), end):
+            head = int(run[1])
+            if end - run.end(2) <= 2 and not data.startswith(b"e %d " % (head + 1), end):
                 # a one-line run that no twin follows is an edge; both ids
                 # are checked before either is kept, and a neighbor of more
                 # than ten digits, which fits no entry, is left to the parser
-                u, v = int(run[1]) - 1, int(run[2]) - 1 if len(run[2]) <= 10 else -1
+                u, v = head - 1, int(run[2]) - 1 if len(run[2]) <= 10 else -1
                 if 0 <= u <= _MAX_ID and 0 <= v <= _MAX_ID:
                     lines.us.append(u)
                     lines.vs.append(v)
                     lines.lineno += 1
                     pos = end
                     continue
+            if ids is None and lines.part_sizes is not None:
+                ids = dict(zip(_names(min(sum(lines.part_sizes), MAX_VERTICES)), count()))
             # the line prefix ``e h `` opens each line of the run and occurs
             # nowhere else in it, so each piece after the first holds one
-            # neighbor; a str split, join and encode beat those of bytes.
-            # An id that fits no 0-based "I" entry leaves the block to the
-            # line parser, which names its line
-            pieces = run[0].decode().split(f"e {run[1].decode()} ")
-            heads = [int(run[1]) - 1]
-            try:
-                array("I", heads)  # the parser's range check on the head
-                neighbors = array("I", map(sub, map(int, islice(pieces, 1, None)), repeat(1)))
-            except (ValueError, OverflowError):
-                pass
-            else:
+            # neighbor. An id that fits no 0-based "I" entry leaves the
+            # block to the line parser, which names its line
+            pieces = run[0].split(b"e %s " % run[1])
+            neighbors = _neighbor_ids(pieces, ids) if 0 < head <= _MAX_ID + 1 else None
+            if neighbors is not None:
                 # a twin's run is the run under the next head: its pieces
                 # joined by ``e h+1 ``, or, once a twin has matched, a copy
                 # of that twin's bytes patched where the head digits differ
-                copy = stretches = None
-                while data.startswith(b"e %d " % (heads[-1] + 2), end):
-                    twin_head = str(heads[-1] + 2)
-                    patched = copy is not None and len(copy.head) == len(twin_head)
-                    if patched:
-                        twin = copy.patch(twin_head)
-                    else:
-                        twin = f"e {twin_head} ".join(pieces).encode()
+                last, copy, stretches = head, None, None
+                while data.startswith(b"e %d " % (last + 1), end):
+                    twin = None if copy is None else copy.patch(last + 1)
+                    joined = twin is None
+                    if joined:
+                        prefix = b"e %d " % (last + 1)
+                        twin = prefix.join(pieces)
                     if not data.startswith(twin, end):
                         break
-                    heads.append(heads[-1] + 1)
+                    last += 1
                     end += len(twin)
-                    if not patched:
+                    if joined:
                         if stretches is None:
-                            # a line is ``e h v`` and its line break: three
-                            # bytes besides the head and its piece
-                            stretches = _stretches(list(map(len, islice(pieces, 1, None))), 3)
-                        copy = _RunCopy(twin, twin_head, stretches) if stretches else None
-                groups.append((heads, neighbors))
-                lines.lineno += len(heads) * len(neighbors)
+                            stretches = _stretches(pieces, twin, len(prefix))
+                        copy = _RunCopy(twin, last, stretches) if stretches else None
+                groups.append((range(head - 1, last), neighbors))
+                lines.lineno += (last - head + 1) * len(neighbors)
                 pos = end
                 continue
+        elif data.startswith(b"e ", pos):
+            # an edge line the writer would not write; the lines after it
+            # may be too, so each such block right after it spans twice
+            # the bytes of the one before
+            end = data.find(b"\n", pos + reach)
+            end = end_of_text if end < 0 else end + 1
+            reach = min(2 * (end - pos), _WINDOW)
         else:
-            # an edge line here is one the writer would not write, as are
-            # likely the lines after it, so they are not one block each
-            end = -1 if data.startswith(b"e ", pos) else data.find(b"\ne ", pos, pos + _WINDOW)
+            end = data.find(b"\ne ", pos, pos + _WINDOW)
             if end < 0:
                 end = data.find(b"\n", pos + _WINDOW)
             end = end_of_text if end < 0 else end + 1

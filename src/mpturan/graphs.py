@@ -21,7 +21,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from itertools import chain, compress, count, repeat
-from operator import setitem
+from operator import and_, setitem
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GraphStructureError
@@ -58,6 +58,10 @@ is read, and a pipe or a device as soon as it has sent more.
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BYTE_BITS = tuple(1 << i for i in range(8))
+_DIGEST_BATCH = 1 << 16
+"""Bytes of rows ``digest`` joins for one hash update: every row of a graph
+of up to 720 vertices at once, so that a large graph's digest holds little
+more than its rows."""
 
 
 def bit_indices(mask: int, start: int = 0) -> Iterator[int]:
@@ -135,10 +139,10 @@ class MultipartiteGraph:
         return self.rows[v].bit_count()
 
     def min_degree(self) -> int:
-        return min(row.bit_count() for row in self.rows)
+        return min(map(int.bit_count, self.rows))
 
     def max_degree(self) -> int:
-        return max(row.bit_count() for row in self.rows)
+        return max(map(int.bit_count, self.rows))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending lexicographic order."""
@@ -148,7 +152,7 @@ class MultipartiteGraph:
         )
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     # -- derived graphs ------------------------------------------------
 
@@ -202,8 +206,11 @@ class MultipartiteGraph:
         width = (self.n_vertices + 7) >> 3
         h = hashlib.sha256(b"mpturan.graph.rows.v1\0")
         h.update(",".join(map(str, self.part_sizes)).encode() + b"\0")
-        for row in self.rows:
-            h.update(row.to_bytes(width, "little"))
+        # the rows' bytes joined in C, up to _DIGEST_BATCH bytes at a time
+        batch = max(1, _DIGEST_BATCH // width)
+        for start in range(0, len(self.rows), batch):
+            rows = self.rows[start : start + batch]
+            h.update(b"".join(map(int.to_bytes, rows, repeat(width), repeat("little"))))
         self._digest = "sha256:" + h.hexdigest()
         return self._digest
 
@@ -234,6 +241,27 @@ def complete_multipartite(part_sizes: Iterable[int]) -> MultipartiteGraph:
     return empty_graph(part_sizes).cross_complement()
 
 
+def _id_mask(ids: Sequence[int], n: int) -> int:
+    """The mask of the vertex ids ``ids``, refused unless each is in
+    [0, n): one shift for a ``range``, else one 0/1 byte per vertex set in
+    C, so a repeated id sets its bit once; the bytes, highest vertex first,
+    are the binary digits. An "I" array holds no negative id, and an id
+    past the end raises IndexError, so the range check costs nothing until
+    it fails."""
+    if type(ids) is range and ids.step == 1:
+        if ids and not 0 <= ids.start <= ids.stop <= n:
+            bad = ids.start if ids.start < 0 else ids.stop - 1
+            raise GraphStructureError(f"vertex id {bad} out of range [0, {n})")
+        return ((1 << len(ids)) - 1) << ids.start if ids else 0
+    flags = bytearray(n)
+    try:
+        deque(map(setitem, repeat(flags), array("I", ids), repeat(1)), maxlen=0)
+    except (IndexError, OverflowError):
+        bad = min(ids) if min(ids) < 0 else max(ids)
+        raise GraphStructureError(f"vertex id {bad} out of range [0, {n})") from None
+    return int(flags.translate(_FLAG_DIGITS)[::-1], 2)
+
+
 def from_edges(
     part_sizes: Iterable[int],
     edges: Iterable[tuple[int, int]],
@@ -248,12 +276,10 @@ def from_edges(
     Repeated edges are harmless. An endpoint outside the vertex range, a
     self-loop, or a pair inside one part raises ``GraphStructureError``, as
     does a vertex count above ``MAX_VERTICES``. Where there are single
-    edges, their bits are set in one bytearray per vertex. A group's vertex
-    and neighbor masks are set in C as one 0/1 byte per vertex, through an
-    ``array("I")`` of its ids, which refuses a negative id as the mask
-    refuses one past the end; it then costs one OR per vertex and one per
-    neighbor; loops and intra-part pairs are found on the finished rows
-    with one mask test per vertex.
+    edges, their bits are set in one bytearray per vertex. A group's masks
+    come from ``_id_mask``, one shift for a ``range`` of vertices, and then
+    cost one OR per vertex and one per neighbor; loops and intra-part pairs
+    are found on the finished rows by one mask test per vertex, in C.
     """
     sizes = _normalized_part_sizes(part_sizes)
     n = sum(sizes)
@@ -282,34 +308,24 @@ def from_edges(
             raise GraphStructureError(f"vertex id {bad} out of range [0, {n})") from None
         rows = [int.from_bytes(b, "little") for b in bufs]
     for vertices, neighbors in groups:
-        masks = []
-        for ids in (vertices, neighbors):
-            # one 0/1 byte per vertex, set in C, so a repeated id sets its
-            # bit once; the bytes, highest vertex first, are the binary digits.
-            # An "I" array holds no negative id, and an id past the end
-            # raises IndexError, so the range check costs nothing until it fails
-            flags = bytearray(n)
-            try:
-                deque(map(setitem, repeat(flags), array("I", ids), repeat(1)), maxlen=0)
-            except (IndexError, OverflowError):
-                bad = min(ids) if min(ids) < 0 else max(ids)
-                raise GraphStructureError(f"vertex id {bad} out of range [0, {n})") from None
-            masks.append(int(flags.translate(_FLAG_DIGITS)[::-1], 2))
-        to_vertices, to_neighbors = masks
+        to_vertices, to_neighbors = _id_mask(vertices, n), _id_mask(neighbors, n)
         for w in vertices:
             rows[w] |= to_neighbors
         for w in neighbors:
             rows[w] |= to_vertices
     g = empty_graph(sizes).with_rows(rows)
-    for v, row in enumerate(g.rows):
-        inside = row & g.part_masks[g.part_of[v]]
-        if inside:
-            if (row >> v) & 1:
-                raise GraphStructureError(f"self-loop at vertex {v}")
-            u = inside.bit_length() - 1
-            raise GraphStructureError(
-                f"vertices {v} and {u} are both in part {g.part_of[v]}"
-            )
+    # each row against its own part's mask, in C; the vertex to blame is
+    # looked for only where one of them meets it
+    if any(map(and_, g.rows, chain.from_iterable(map(repeat, g.part_masks, sizes)))):
+        for v, row in enumerate(g.rows):
+            inside = row & g.part_masks[g.part_of[v]]
+            if inside:
+                if (row >> v) & 1:
+                    raise GraphStructureError(f"self-loop at vertex {v}")
+                u = inside.bit_length() - 1
+                raise GraphStructureError(
+                    f"vertices {v} and {u} are both in part {g.part_of[v]}"
+                )
     return g
 
 
@@ -327,11 +343,11 @@ class ColorPartition(_Coloring):
         # a NamedTuple cannot define __new__ itself, so the check lives here
         if num_colors < 1:
             raise GraphStructureError("a coloring needs at least one color")
-        for v, c in enumerate(colors):
-            if not 0 <= c < num_colors:
-                raise GraphStructureError(
-                    f"vertex {v} has color {c}, outside [0, {num_colors})"
-                )
+        # min and max in C; the first bad vertex is looked for only when
+        # there is one
+        if colors and not (0 <= min(colors) and max(colors) < num_colors):
+            v, c = next((v, c) for v, c in enumerate(colors) if not 0 <= c < num_colors)
+            raise GraphStructureError(f"vertex {v} has color {c}, outside [0, {num_colors})")
         return super().__new__(cls, colors, num_colors)
 
     def class_masks(self) -> dict[int, int]:

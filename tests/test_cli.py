@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from text_diff import first_difference
 
 from mpturan import cli
 from mpturan.cli import MAX_TABLE_ROWS, main
@@ -192,7 +193,8 @@ def test_construct_and_verify_hold_a_large_file_at_most_once(tmp_path, capsys):
     size = path.stat().st_size
     assert peaks[0] < 0.25 * size
     assert peaks[1] < 1.25 * size
-    assert path.read_bytes() == to_dimacs(sliced_blowup(200, 13, 3).graph).encode()
+    written = path.read_bytes()
+    assert first_difference(written, to_dimacs(sliced_blowup(200, 13, 3).graph).encode()) is None
 
 
 # (method, n, r, t) for every method over the grid of acceptance criterion 1:
@@ -456,6 +458,34 @@ def test_construct_to_a_closed_pipe_exits_2_with_one_line():
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write standard output: Broken pipe\n"
+
+
+@pytest.mark.parametrize("method, n, r, t", [("sliced", 60, 10, 3), ("apex", 40, 14, 6)])
+def test_construct_prints_the_bytes_it_writes(tmp_path, method, n, r, t):
+    # in a fresh process, so that the bytes go through the binary buffer of
+    # a real standard output, here a pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "mpturan.cli", "construct", "--method", method,
+            "--n", str(n), "--r", str(r), "--t", str(t), "--format", "dimacs"]
+    printed = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    path = tmp_path / "g.col"
+    written = subprocess.run([*argv, "--out", str(path)], env=env, capture_output=True, timeout=60)
+    assert (printed.returncode, printed.stderr) == (0, b"")
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert first_difference(printed.stdout, path.read_bytes()) is None
+    graph = cli._METHODS[method](argparse.Namespace(n=n, r=r, t=t)).graph
+    assert first_difference(printed.stdout, to_dimacs(graph).encode()) is None
+
+
+def test_construct_prints_dimacs_to_a_stdout_without_a_binary_buffer():
+    # an in-process caller may redirect standard output to a StringIO, which
+    # takes text only; the bytes reach it decoded
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["construct", "--method", "sliced", "--n", "3", "--r", "5", "--t", "3",
+                     "--format", "dimacs"])
+    assert code == 0
+    assert out.getvalue() == to_dimacs(sliced_blowup(3, 5, 3).graph)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -8,6 +8,7 @@ from graph_strategies import profile_min_degree, profiles
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mpturan import bounds, constructions
 from mpturan.bounds import (
     _composition_slice,
     apex_value,
@@ -26,7 +27,7 @@ from mpturan.constructions import (
     sliced_blowup,
     turan_blowup,
 )
-from mpturan.errors import DomainError, NotApplicableError
+from mpturan.errors import DomainError, InternalConsistencyError, NotApplicableError
 from mpturan.graphs import ColorPartition, complete_multipartite, empty_graph, from_edges
 from mpturan.verifier import find_crossing_independent
 
@@ -238,6 +239,71 @@ def test_overlay_attains_the_profile_degree_formula(drawn):
     out = _overlay(profile, profile_min_degree(n, profile), "profile")
     assert out.graph.part_sizes == (n,) * len(profile)
     assert out.claimed_min_degree == out.graph.min_degree()
+
+
+# Each builder reads its profile from a bound family; a family whose value or
+# profile disagrees with the graph the profile gives is refused by
+# ``_overlay``'s checks, which run once per profile cell.
+_PROFILED = [
+    (turan_blowup, (2, 5, 3), "balanced-blowup"),
+    (sliced_blowup, (4, 10, 3), "sliced-blowup"),
+    (apex_blowup, (2, 7, 5), "apex-blowup"),
+]
+
+
+def _builder_name(value):
+    return getattr(value, "__name__", None)
+
+
+@pytest.mark.parametrize("build, args, family", _PROFILED, ids=_builder_name)
+def test_overlay_refuses_a_value_the_graph_does_not_attain(monkeypatch, build, args, family):
+    out = build(*args)
+    source, measured = out.source, out.graph.min_degree()
+    if build is turan_blowup:
+        entry = bounds._BY_NAME[family]
+        monkeypatch.setitem(
+            bounds._BY_NAME, family, entry._replace(value=lambda *a: entry.value(*a) + 1)
+        )
+    else:
+        name = f"{family.split('-')[0]}_value"
+        value = getattr(constructions, name)
+        monkeypatch.setattr(constructions, name, lambda *a: value(*a) + 1)
+    with pytest.raises(InternalConsistencyError) as refused:
+        build(*args)
+    assert str(refused.value) == (
+        f"{source}: built graph has minimum degree {measured}, formula says {measured + 1}"
+    )
+
+
+def _extra_color(row):
+    """A vertex of the last cell moved to a color past the witness's."""
+    return (*row[:-1], row[-1] - 1, 1)
+
+
+def _negative_cell(row):
+    """One more vertex in the first nonzero cell and -1 in the first zero
+    one, so the part keeps its size."""
+    row = list(row)
+    row[next(c for c, size in enumerate(row) if size)] += 1
+    row[row.index(0)] -= 1
+    return tuple(row)
+
+
+@pytest.mark.parametrize("build, args, family", _PROFILED, ids=_builder_name)
+@pytest.mark.parametrize("edit", [_extra_color, _negative_cell], ids=lambda f: f.__name__)
+def test_overlay_refuses_a_profile_whose_coloring_is_not_proper(
+    monkeypatch, build, args, family, edit
+):
+    source = build(*args).source
+    entry = bounds._BY_NAME[family]
+
+    def edited(*a):
+        *rows, last = entry.profile(*a)
+        return (*rows, edit(last))
+
+    monkeypatch.setitem(bounds._BY_NAME, family, entry._replace(profile=edited))
+    with pytest.raises(InternalConsistencyError, match=f"^{source}: witness coloring is not proper$"):
+        build(*args)
 
 
 # The per-vertex, per-edge layout the block composition used before its

@@ -3,12 +3,12 @@ import os
 import random
 import tracemalloc
 from array import array
-from itertools import zip_longest
 
 import pytest
 from graph_strategies import multipartite_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from text_diff import first_difference
 
 from mpturan import cli, graphio
 from mpturan.cli import main
@@ -558,7 +558,7 @@ def test_twin_free_dimacs_parses_only_its_header_block(monkeypatch):
 def test_dimacs_matches_the_references_on_constructions(tmp_path, monkeypatch, construction):
     g = constructed_graph(tmp_path, *construction)
     text = to_dimacs(g)
-    assert text == reference_dimacs(g)
+    assert first_difference(text, reference_dimacs(g)) is None
     # the reordered copy has the same lines, so one reference reading serves both
     reordered = reorder_edge_lines(text, interleave)
     expected = reference_parse(reordered)
@@ -582,7 +582,7 @@ def test_dimacs_matches_the_references_on_constructions(tmp_path, monkeypatch, c
 )
 def test_to_dimacs_matches_the_reference_writer(g):
     text = to_dimacs(g)
-    assert text == reference_dimacs(g)
+    assert first_difference(text, reference_dimacs(g)) is None
     assert from_dimacs(text) == g
 
 
@@ -590,7 +590,7 @@ def test_to_dimacs_matches_the_reference_writer(g):
 @given(multipartite_graphs(), st.randoms(use_true_random=False))
 def test_dimacs_matches_the_references(g, rng):
     text = to_dimacs(g)
-    assert text == reference_dimacs(g)
+    assert first_difference(text, reference_dimacs(g)) is None
     assert from_dimacs(text) == reference_parse(text) == g
     shuffled = reorder_edge_lines(text, lambda lines: rng.sample(lines, len(lines)))
     assert from_dimacs(shuffled) == reference_parse(shuffled)
@@ -698,7 +698,8 @@ def _line_count(blocks):
 
 def _record_groups(monkeypatch):
     """Make ``from_dimacs`` record the groups it hands to ``from_edges``:
-    one per run read in one split, with the heads of that run's twins."""
+    one per run read in one split, with the range of its head and the heads
+    of its twins."""
     groups = []
 
     def recording_from_edges(part_sizes, edges, run_groups):
@@ -764,26 +765,66 @@ def test_from_dimacs_reads_runs_after_vertices_without_one_in_one_split(monkeypa
 
 def test_from_dimacs_reads_trailing_space_files_in_windows(monkeypatch):
     # no line matches a run, so after the header the lines go to the parser
-    # a window of bytes at a time, not one block per line or per vertex
+    # in blocks that start at one line and each span twice the bytes of the
+    # one before, up to a window, not one block per line or per vertex
     g = sliced_blowup(60, 10, 3).graph
     text = to_dimacs(g).replace("\n", " \n")
     blocks = _record_parsed_blocks(monkeypatch)
     assert from_dimacs(text) == g
-    assert len(blocks) == 6
     assert blocks[0] == text[: text.index("\ne ") + 1]
+    assert len(blocks[1].splitlines()) == 1
     longest = len(max(text.splitlines(keepends=True), key=len))
-    assert all(graphio._WINDOW <= len(b) < graphio._WINDOW + longest for b in blocks[1:-1])
+    for before, block in zip(blocks[1:-1], blocks[2:-1]):
+        reach = min(2 * len(before), graphio._WINDOW)
+        assert reach <= len(block) < reach + longest
+    # at most 18 doublings from one line to the window, then whole windows
+    assert len(blocks) <= 1 + 18 + len(text) // graphio._WINDOW + 1
+
+
+def _refused_lines_text(g, every, bad=None):
+    """``to_dimacs(g)`` with a trailing space, which the run pattern
+    refuses, on every ``every``-th line from line 3 and on the two lines
+    after the second of them, so that three refused lines follow each other
+    there; with line ``bad`` (0-based) replaced by a malformed edge line."""
+    lines = to_dimacs(g).splitlines(keepends=True)
+    refused = [*range(2, len(lines), every), 3 + every, 4 + every]
+    for i in refused:
+        lines[i] = lines[i][:-1] + " \n"
+    if bad is not None:
+        lines[bad] = "e 1 x\n"
+    return "".join(lines), len(refused)
+
+
+def test_from_dimacs_parses_a_few_refused_lines_one_by_one(monkeypatch):
+    # each refused line is a block of one line, a little more right after
+    # another, and the rest of its run matches as a run again, so the parser
+    # sees only the header and about those lines, where a window of about
+    # 23,000 lines once followed each of them
+    g = sliced_blowup(60, 10, 3).graph
+    text, refused = _refused_lines_text(g, 500)
+    blocks = _record_parsed_blocks(monkeypatch)
+    assert from_dimacs(text) == g
+    assert 2 + refused <= _line_count(blocks) <= 2 + refused + 3
+
+
+@pytest.mark.parametrize("bad", [1, 2, 3, 51, 52, 53, 54, 55, 56, 60, 101, 102, 5000, -1])
+def test_refused_lines_keep_the_line_number_of_an_error(bad):
+    text, _ = _refused_lines_text(sliced_blowup(20, 10, 3).graph, 50, bad)
+    expected = read_outcome(reference_parse, text)
+    assert isinstance(expected, int)
+    assert read_outcome(from_dimacs, text) == expected
 
 
 def test_from_dimacs_reads_a_run_in_one_split_before_a_line_under_its_head(monkeypatch):
     # vertex 1's run, lines 3-5, is followed by a line under head 1 with
-    # another spacing; the run is still one group, read in one split
+    # another spacing; the run is still one group, read in one split, and
+    # after that line, a block of one line, the runs of vertices 2 to 4 are
+    # one group again
     text = twin_text([(5, "e 1 7\ne 1  8")])
     groups = _record_groups(monkeypatch)
     g = from_dimacs(text)
     assert g == reference_parse(text)
-    assert groups[0] == ([0], array("I", [4, 5, 6]))
-    assert _split_count(groups) == 3
+    assert groups == [(range(1), array("I", [4, 5, 6])), (range(1, 4), array("I", [4, 5, 6]))]
 
 
 def test_from_dimacs_checks_repeated_run_ids_before_allocating():
@@ -808,26 +849,21 @@ def test_from_dimacs_counts_skipped_runs_against_the_problem_line():
         from_dimacs(text)
 
 
-def _first_difference(text, expected):
-    """The first (line number, line, expected line) where two texts differ,
-    or None; a failed test shows this instead of a diff of the whole texts,
-    which takes minutes on tens of thousands of lines."""
-    pairs = zip_longest(text.splitlines(keepends=True), expected.splitlines(keepends=True))
-    return next(((i, a, b) for i, (a, b) in enumerate(pairs, 1) if a != b), None)
+def _record_templates(monkeypatch):
+    """Make the writer and the reader record the stretches of each run
+    template they build, one (line count, piece length) per stretch; a run
+    whose twins are joined, not patched, builds none."""
+    layouts = []
 
+    class RecordingRunCopy(graphio._RunCopy):
+        __slots__ = ()
 
-def _record_stretches(monkeypatch):
-    """Make the writer and the reader record each run they find twins of:
-    its stretches, empty where that run's twins are joined, not patched."""
-    stretches = []
-    real = graphio._stretches
+        def __init__(self, run, head, stretches):
+            layouts.append(stretches)
+            super().__init__(run, head, stretches)
 
-    def recording_stretches(lengths, rest):
-        stretches.append(real(lengths, rest))
-        return stretches[-1]
-
-    monkeypatch.setattr(graphio, "_stretches", recording_stretches)
-    return stretches
+    monkeypatch.setattr(graphio, "_RunCopy", RecordingRunCopy)
+    return layouts
 
 
 @pytest.mark.parametrize(
@@ -848,12 +884,16 @@ def test_twin_runs_are_written_and_read_across_digit_boundaries(
     monkeypatch, part_sizes, stretch_lines
 ):
     g = complete_multipartite(part_sizes)
-    stretches = _record_stretches(monkeypatch)
+    layouts = _record_templates(monkeypatch)
     text = to_dimacs(g)
-    assert [lines for lines, _ in stretches[0]] == stretch_lines
-    assert _first_difference(text, reference_dimacs(g)) is None
+    written = layouts[:]
+    assert [lines for lines, _ in (written[0] if written else [])] == stretch_lines
+    assert first_difference(text, reference_dimacs(g)) is None
+    layouts.clear()
     groups = _record_groups(monkeypatch)
     assert from_dimacs(text) == g
+    # the reader builds the writer's templates from the bytes alone
+    assert layouts == written
     assert [len(heads) for heads, _ in groups][:1] == [part_sizes[0]]
 
 
@@ -882,12 +922,14 @@ def test_patched_twin_runs_read_like_the_reference(u, i, edit):
 
 
 def test_twin_runs_read_in_crlf_are_patched(monkeypatch):
-    stretches = _record_stretches(monkeypatch)
+    # one template for heads 2 to 9 and one for 10 to 12, each with a
+    # stretch of 87 pieces ``v\r\n`` of two digits and 63 of three
+    layouts = _record_templates(monkeypatch)
     groups = _record_groups(monkeypatch)
     g = from_dimacs(_twins_text(12, others=150, newline="\r\n"))
     assert g == complete_multipartite([12, 150])
-    assert stretches == [[(87, 3 + 4), (63, 3 + 5)]]
-    assert [heads for heads, _ in groups] == [list(range(12))]
+    assert layouts == [[(87, 4), (63, 5)]] * 2
+    assert [heads for heads, _ in groups] == [range(12)]
 
 
 def test_a_run_whose_line_lengths_alternate_is_joined(monkeypatch):
@@ -896,12 +938,33 @@ def test_a_run_whose_line_lengths_alternate_is_joined(monkeypatch):
     lines = [f"e {u} {v}" + ("\r\n" if v % 2 else "\n")
              for u in range(1, 41) for v in range(41, 141)]
     text = "c part-sizes 40 100\n" + "".join(lines)
-    stretches = _record_stretches(monkeypatch)
+    layouts = _record_templates(monkeypatch)
     groups = _record_groups(monkeypatch)
     assert from_dimacs(text) == reference_parse(text) == complete_multipartite([40, 100])
-    assert stretches == [[]]
-    assert [heads for heads, _ in groups] == [list(range(40))]
+    assert layouts == []
+    assert [heads for heads, _ in groups] == [range(40)]
     assert _split_count(groups) == 100
+
+
+def test_a_template_is_checked_on_the_run_it_is_built_from(monkeypatch):
+    # vertices 1 to 12 join the 150 vertices of part 1 listed as 13-60,
+    # 100-130, 61-99 and 131-162, so the piece lengths do not ascend:
+    # bisection alone takes the run for 48 lines of three-byte pieces and
+    # 102 of four, a layout that does not fit the run's bytes, so the twins
+    # are joined, not patched
+    order = [*range(13, 61), *range(100, 131), *range(61, 100), *range(131, 163)]
+    text = "c part-sizes 12 150\n" + "".join(f"e {u} {v}\n" for u in range(1, 13) for v in order)
+    layouts = _record_templates(monkeypatch)
+    groups = _record_groups(monkeypatch)
+    assert from_dimacs(text) == complete_multipartite([12, 150])
+    assert layouts == []
+    assert [heads for heads, _ in groups] == [range(12)]
+    # in the writer's order the same runs get their two stretches, one
+    # template for heads 1 to 9 and one for 10 to 12
+    text = to_dimacs(complete_multipartite([12, 150]))
+    layouts.clear()
+    assert from_dimacs(text) == complete_multipartite([12, 150])
+    assert layouts == [[(87, 3), (63, 4)]] * 2
 
 
 def test_from_dimacs_reads_a_shuffled_file_as_single_edges(monkeypatch):
@@ -921,4 +984,4 @@ def test_one_line_runs_with_twins_stay_one_group(monkeypatch):
     # every vertex of part 0 joins the one vertex of part 1
     groups = _record_groups(monkeypatch)
     assert from_dimacs(to_dimacs(complete_multipartite([50, 1]))) == complete_multipartite([50, 1])
-    assert groups == [(list(range(50)), array("I", [50]))]
+    assert groups == [(range(50), array("I", [50]))]

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import tracemalloc
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpturan import graphs
 from mpturan.errors import DomainError, GraphStructureError
 from mpturan.graphs import (
     ColorPartition,
@@ -63,6 +65,9 @@ def test_from_edges_groups_join_every_pair():
     assert from_edges([2, 2], [], [([0], []), ([], [2])]) == empty_graph([2, 2])
     # a repeated id sets its bit once: its masks OR, never add
     assert from_edges([2, 2, 2], [(2, 4)], [([1, 0, 1], [3, 2, 4, 3, 3])]) == g
+    # a range of vertices, as the DIMACS reader gives a class of twins
+    assert from_edges([2, 2, 2], [(2, 4)], [(range(2), [2, 3, 4])]) == g
+    assert from_edges([2, 2], [], [(range(1, 1), [2])]) == empty_graph([2, 2])
 
 
 def test_from_edges_without_single_edges_allocates_no_row_buffers():
@@ -89,6 +94,11 @@ def test_from_edges_without_single_edges_allocates_no_row_buffers():
         ([([2], [10**9])], "out of range"),
         ([([0, 2], [1])], "both in part"),
         ([([2], [2])], "self-loop at vertex 2"),
+        # a range of vertices is checked by its ends before its mask is made
+        ([(range(1, 5), [0])], "vertex id 4 out of range"),
+        ([(range(-1, 1), [2])], "vertex id -1 out of range"),
+        ([(range(2, 10**9), [0])], "vertex id 999999999 out of range"),
+        ([(range(0, 2), [1])], "both in part"),
     ],
 )
 def test_from_edges_checks_groups(groups, match):
@@ -173,6 +183,32 @@ def test_color_partition_validation():
         ColorPartition((0, 3), 2)
     with pytest.raises(DomainError):
         ColorPartition((0, 1), 0)
+
+
+def test_color_partition_names_the_first_vertex_out_of_range():
+    with pytest.raises(DomainError, match=r"^vertex 2 has color 5, outside \[0, 2\)$"):
+        ColorPartition((0, 1, 5, -1), 2)
+    with pytest.raises(DomainError, match=r"^vertex 1 has color -1, outside \[0, 2\)$"):
+        ColorPartition((0, -1, 5), 2)
+
+
+def _reference_digest(g):
+    """The digest's definition: each row hashed on its own."""
+    width = (g.n_vertices + 7) >> 3
+    h = hashlib.sha256(b"mpturan.graph.rows.v1\0")
+    h.update(",".join(map(str, g.part_sizes)).encode() + b"\0")
+    for row in g.rows:
+        h.update(row.to_bytes(width, "little"))
+    return "sha256:" + h.hexdigest()
+
+
+@pytest.mark.parametrize("batch", [1, 1000, 1 << 20])
+def test_digest_hashes_the_rows_in_batches_of_bytes(monkeypatch, batch):
+    # 1,001 rows of 126 bytes: one row a batch, seven, and all of them
+    monkeypatch.setattr(graphs, "_DIGEST_BATCH", batch)
+    g = complete_multipartite([1, 500, 500])
+    assert g.digest() == _reference_digest(g)
+    assert empty_graph([3]).digest() == _reference_digest(empty_graph([3]))
 
 
 def test_color_partition_proper():
