@@ -20,10 +20,10 @@ batches, so a large graph document streams out in bounded pieces.
 ``_COMMANDS`` is the one declaration of the subcommands and their options.
 A call whose first argument names a subcommand and whose rest is exact
 ``--option value`` pairs is read from it without importing ``argparse``;
-any other call is parsed by the ``argparse`` parsers built from the same
-table, whose help, messages and exit codes stay. A plain call also loads
-no ``hashlib``, ``fractions`` or ``json``: each is imported where a
-command first uses it.
+any other call is parsed by the top-level ``argparse`` parser built from
+the same table, whose help, messages and exit codes stay. A plain call
+also loads no ``hashlib``, ``fractions`` or ``json``: each is imported
+where a command first uses it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .graphio import (
     graph_to_json_dict,
     loads_graph,
     write_bytes,
-    write_text,
 )
 # not called here, but the benchmark's tracer wraps it by this module's name
 from .graphio import to_dimacs  # noqa: F401
@@ -112,7 +111,7 @@ def _stream(
     them decoded."""
     try:
         if out:
-            (write_bytes if binary else write_text)(out, chunks)
+            write_bytes(out, chunks if binary else map(str.encode, chunks))
         elif binary and hasattr(sys.stdout, "buffer"):
             sys.stdout.flush()
             sys.stdout.buffer.writelines(chunks)
@@ -659,36 +658,21 @@ def _build_parser():
         for flag, option in command.options.items():
             p.add_argument(flag, **option._asdict())
         p.set_defaults(func=command.func)
-    # the command parsers by name, which ``_parse`` hands argv to
+    # the command parsers by name, each with its own help and usage
     parser.commands = sub.choices
     return parser
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:
     """``_build_parser().parse_args(argv)``, as a ``SimpleNamespace``, with
-    argparse left unloaded when ``argv`` is a plain command line.
-
-    A plain command line, a command name and then exact ``--option value``
-    pairs only, is read from ``_COMMANDS`` by ``_parse_plain``. Any other
-    that starts with a command name goes to that command's parser, and
-    what it leaves over goes to the top-level ``error``, which is where the
-    top-level parser sends it; the rest goes to the top-level parser. So
-    every refusal keeps argparse's message and exit code.
+    argparse left unloaded when ``argv`` is a plain command line: a command
+    name and then exact ``--option value`` pairs only, read from
+    ``_COMMANDS`` by ``_parse_plain``. Any other goes to the top-level
+    parser, so every refusal keeps argparse's message and exit code.
     """
     command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        args = _parse_plain(command, argv)
-        if args is not None:
-            return args
-    parser = _build_parser()
-    if command is None:
-        return parser.parse_args(argv, SimpleNamespace())
-    args, extras = parser.commands[argv[0]].parse_known_args(
-        argv[1:], SimpleNamespace(command=argv[0])
-    )
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    return args
+    args = None if command is None else _parse_plain(command, argv)
+    return args or _build_parser().parse_args(argv, SimpleNamespace())
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,16 +10,15 @@ Two formats:
   yields one vertex's run of ``e h v`` lines at a time, and the reader
   takes each run under one head in one split, its neighbor names mapped to
   ids through a name table, and skips the runs of its twins. A twin's run,
-  the same lines under the next head, is written and checked as a
-  ``_RunCopy`` of the run before it, a template that both sides build the
-  same way and move to the next head by one strided slice assignment per
+  the same lines under the next head, is written and checked as the next
+  run of one generator, ``_twin_runs``, which both sides drive: it moves
+  its last run to the next head by one strided slice assignment per
   stretch of lines of equal length, more only where a carry changes more
   digits, not one join step per line. In a file in another edge order most
   lines are runs of one line with no twin, each read as one edge.
 
 ``write_bytes`` writes any bytes given in pieces through one buffer of the
-file, and ``write_text`` any text through it, encoded piece by piece, so a
-streamed DIMACS or JSON file is never held whole in memory.
+file, so a streamed DIMACS or JSON file is never held whole in memory.
 
 Both readers accept at most ``MAX_VERTICES`` vertices, and any text either
 gives a graph or raises ``GraphStructureError``.
@@ -132,12 +131,6 @@ def write_bytes(path: str | os.PathLike, chunks: Iterable[bytes]) -> None:
                 os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
-def write_text(path: str | os.PathLike, chunks: Iterable[str]) -> None:
-    """``write_bytes`` of ``chunks``, a string or any iterable of strings,
-    each encoded as UTF-8 on its way, so the text is never held whole."""
-    write_bytes(path, map(str.encode, (chunks,) if isinstance(chunks, str) else chunks))
-
-
 def _names(n: int) -> list[bytes]:
     """The name of each 0-based vertex id below ``n`` as DIMACS writes it
     at the end of a line: 1-based, with the line break."""
@@ -151,44 +144,32 @@ def dimacs_chunks(g: MultipartiteGraph) -> Iterator[bytes]:
     A piece may be a ``bytearray`` that the next piece overwrites, so each
     must be written or copied before the next is asked for.
 
-    Vertex names come from one table. A row whose higher neighbors are
-    those of the row before it (as with twins) writes that row's run with
-    the new head: a ``_RunCopy`` of the run before it, patched, or, where
-    the head gains a digit or the run has few lines per stretch, the same
-    names joined again.
+    Vertex names come from one table. Each run is the next of one
+    ``_twin_runs`` per class of consecutive rows with the same higher
+    neighbors, as twins have: the class's first row starts it.
     """
     n = g.n_vertices
     names = _names(n)
     yield b"c part-sizes %s\n" % " ".join(map(str, g.part_sizes)).encode()
     yield b"p edge %d %d\n" % (n, g.edge_count())
-    previous, pieces, copy, stretches = 0, [], None, None
+    previous = 0
     for head, row in enumerate(g.rows, 1):
         higher = row >> head
         if higher:
             # the same vertices as the previous row's list when the
             # previous row's higher mask is this one shifted up by one
-            twin = higher << 1 == previous
-            if not twin:
+            if higher << 1 != previous:
                 # an empty first piece, as the reader's split gives
                 pieces = [b""]
                 pieces += map(names.__getitem__, bit_indices(higher, head))
-                copy = stretches = None
-            run = None if copy is None else copy.patch(head)
-            if run is None:
-                prefix = b"e %d " % head
-                run = prefix.join(pieces)
-                if twin:
-                    if stretches is None:
-                        stretches = _stretches(pieces, run, len(prefix))
-                    if stretches:
-                        copy = _RunCopy(run, head, stretches)
-            yield run
+                twins = _twin_runs(pieces, head - 1)
+            yield next(twins)
         previous = higher
 
 
 _PATCH_LINES = 32
 """Fewest lines per stretch, on average over a run, at which its twins are
-patched from a ``_RunCopy`` rather than joined from their pieces."""
+patched in place rather than joined from their pieces."""
 
 
 def _stretches(pieces: list[bytes], run: bytes, prefix: int) -> list[tuple[int, int]]:
@@ -226,49 +207,49 @@ def _stretches(pieces: list[bytes], run: bytes, prefix: int) -> list[tuple[int, 
 _DIGITS = [bytearray(b"%d" % digit) for digit in range(10)]
 
 
-class _RunCopy:
-    """The bytes of a run of ``e h v`` lines under the head ``h``, with the
-    place of the head's last digit in each stretch, so that the run under
-    the next head of the same width is one strided slice assignment per
-    stretch away, or one per stretch and changed digit after a carry.
+def _twin_runs(pieces: list[bytes], head: int) -> Iterator[bytes]:
+    """The run of ``pieces``, a run split on its line prefix, under each
+    head after ``head`` in turn: the twins of a run under ``head``, or,
+    started one head before a class's first, every run of the class.
 
-    ``stretches`` gives each stretch's line count and piece length, as
-    ``_stretches`` finds them; ``head`` is the number the run's head names."""
-
-    __slots__ = ("buf", "limit", "spans")
-
-    def __init__(self, run: bytes, head: int, stretches: list[tuple[int, int]]) -> None:
-        self.buf = bytearray(run)
-        width = len(b"%d" % head)
-        self.limit = 10**width
-        # per stretch: the last head digit of its first line, its end, its
-        # line length, and each digit repeated once per line, as a
-        # bytearray, which a slice assignment takes without the copy it
-        # makes of bytes
-        self.spans = []
-        start = 0
-        for lines, piece in stretches:
-            step = 3 + width + piece
-            end = start + lines * step
-            self.spans.append((start + 1 + width, end, step, [d * lines for d in _DIGITS]))
-            start = end
-
-    def patch(self, head: int) -> bytearray | None:
-        """The buffer, rewritten to hold the run under ``head``, one above
-        the buffer's head; None where ``head`` has more digits. Only the
-        last digit differs unless it is 0, where the carry also rewrites
-        the zeros before it and the digit it stops at."""
-        if head >= self.limit:
-            return None
-        buf, shift = self.buf, 0
-        while True:
-            digit = head % 10
-            for last, end, step, fills in self.spans:
-                buf[last - shift : end : step] = fills[digit]
-            if digit:
-                return buf
-            head //= 10
-            shift += 1
+    The first run of each head width is joined from the pieces, and so is
+    every run where ``_stretches`` finds no layout. Every other run is one
+    ``bytearray`` per head width, the run before it moved to the next head
+    by one strided slice assignment per stretch over the head's last
+    digit, and one more per stretch for each digit a carry changes. So
+    each run must be written or compared before the next is asked for.
+    """
+    layout = None
+    while True:
+        head += 1
+        prefix = b"e %d " % head
+        run = prefix.join(pieces)
+        yield run
+        if layout is None:
+            layout = _stretches(pieces, run, len(prefix))
+            # each digit repeated once per line of a stretch, as a bytearray,
+            # which a slice assignment takes without the copy it makes of bytes
+            fills = [[d * lines for d in _DIGITS] for lines, _ in layout]
+        if not layout:
+            continue
+        # per stretch: the last head digit of its first line, its end and
+        # its line length
+        buf, spans, start = bytearray(run), [], 0
+        for (lines, piece), digits in zip(layout, fills):
+            step = len(prefix) + piece
+            spans.append((start + len(prefix) - 2, start + lines * step, step, digits))
+            start += lines * step
+        for head in range(head + 1, 10 ** (len(prefix) - 3)):
+            place, shift = head, 0
+            while True:
+                digit = place % 10
+                for last, end, step, digits in spans:
+                    buf[last - shift : end : step] = digits[digit]
+                if digit:
+                    break
+                place //= 10
+                shift += 1
+            yield buf
 
 
 def to_dimacs(g: MultipartiteGraph) -> str:
@@ -378,10 +359,9 @@ def from_dimacs(data: bytes | str) -> MultipartiteGraph:
     where it is not in the table, and ``from_edges`` receives it as one
     group. Where the bytes continue with the same run under the head h + 1,
     a twin, those lines are counted but not parsed, and the group's heads,
-    a ``range``, grow by one. The first twin, and one whose head gains a
-    digit, is compared with the pieces joined by ``e h+1 ``; each later one
-    with a ``_RunCopy`` of the twin before it, patched in place, unless the
-    run has fewer than ``_PATCH_LINES`` lines per stretch.
+    a ``range``, grow by one. Each twin is compared with the next run of
+    ``_twin_runs`` of the pieces, made only once the next head's line
+    prefix follows.
     Any other block is decoded and given to one per-line parser; so is a
     run with an id that the parser would refuse, so that each error names
     its line as that parser does.
@@ -418,24 +398,15 @@ def from_dimacs(data: bytes | str) -> MultipartiteGraph:
             pieces = run[0].split(b"e %s " % run[1])
             neighbors = _neighbor_ids(pieces, ids) if 0 < head <= _MAX_ID + 1 else None
             if neighbors is not None:
-                # a twin's run is the run under the next head: its pieces
-                # joined by ``e h+1 ``, or, once a twin has matched, a copy
-                # of that twin's bytes patched where the head digits differ
-                last, copy, stretches = head, None, None
+                # each twin's run is the next of ``_twin_runs``, asked for
+                # only once the next head's prefix follows
+                last, twins = head, _twin_runs(pieces, head)
                 while data.startswith(b"e %d " % (last + 1), end):
-                    twin = None if copy is None else copy.patch(last + 1)
-                    joined = twin is None
-                    if joined:
-                        prefix = b"e %d " % (last + 1)
-                        twin = prefix.join(pieces)
+                    twin = next(twins)
                     if not data.startswith(twin, end):
                         break
                     last += 1
                     end += len(twin)
-                    if joined:
-                        if stretches is None:
-                            stretches = _stretches(pieces, twin, len(prefix))
-                        copy = _RunCopy(twin, last, stretches) if stretches else None
                 groups.append((range(head - 1, last), neighbors))
                 lines.lineno += (last - head + 1) * len(neighbors)
                 pos = end

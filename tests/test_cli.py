@@ -1141,9 +1141,9 @@ def _parse_outcome(parse, argv):
 @settings(max_examples=500, deadline=None)
 @given(_argv())
 def test_main_parses_as_the_top_level_parser_does(argv):
-    # a command's parser takes the rest of argv at once; its namespace, or
-    # the exit code and the text on both streams, must be the top-level
-    # parser's
+    # a plain line is read from the option table, any other by the
+    # top-level parser; the namespace, or the exit code and the text on both
+    # streams, must be the top-level parser's
     assert _parse_outcome(cli._parse, argv) == _parse_outcome(
         cli._build_parser().parse_args, argv
     )
@@ -1198,11 +1198,9 @@ def _plain_argv(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(_plain_argv())
-def test_plain_command_lines_read_as_the_command_parser_does(argv):
+def test_plain_command_lines_read_as_the_top_level_parser_does(argv):
     # the option table gives argparse's namespace, key order included
-    command = cli._build_parser().commands[argv[0]]
-    want, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    assert extras == []
+    want = cli._build_parser().parse_args(argv, argparse.Namespace())
     got = cli._parse_plain(cli._COMMANDS[argv[0]], argv)
     assert got is not None
     assert list(vars(got).items()) == list(vars(want).items())

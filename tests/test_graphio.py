@@ -3,6 +3,7 @@ import os
 import random
 import tracemalloc
 from array import array
+from itertools import islice
 
 import pytest
 from graph_strategies import multipartite_graphs
@@ -20,7 +21,7 @@ from mpturan.graphio import (
     graph_from_json_dict,
     loads_graph,
     to_dimacs,
-    write_text,
+    write_bytes,
 )
 from mpturan.graphs import MAX_INPUT_BYTES, MAX_VERTICES, complete_multipartite, from_edges
 
@@ -354,47 +355,59 @@ def test_loads_graph_any_text_gives_graph_or_structure_error(text):
     assert loads_graph(dumps_graph(g)) == g
 
 
-def test_write_text_replaces_longer_contents(tmp_path):
+def test_write_bytes_replaces_longer_contents(tmp_path):
     path = tmp_path / "out.txt"
-    write_text(path, "a much longer first version\n")
-    write_text(path, "short\n")
+    write_bytes(path, [b"a much longer first version\n"])
+    write_bytes(path, [b"short\n"])
     assert path.read_bytes() == b"short\n"
-    write_text(path, "caf\u00e9\n")
+    write_bytes(path, ["caf\u00e9\n".encode()])
     assert path.read_bytes() == "caf\u00e9\n".encode("utf-8")
     # pieces past one batch, then a shorter text over them
-    pieces = ["caf\u00e9 " * 1000] * 300
-    write_text(path, iter(pieces))
-    assert path.read_bytes() == "".join(pieces).encode("utf-8")
-    write_text(path, ["short", "\n"])
+    pieces = ["caf\u00e9 ".encode() * 1000] * 300
+    write_bytes(path, iter(pieces))
+    assert path.read_bytes() == b"".join(pieces)
+    write_bytes(path, [b"short", b"\n"])
     assert path.read_bytes() == b"short\n"
 
 
-def test_write_text_to_a_device():
-    write_text(os.devnull, "discarded\n")
+def test_write_bytes_to_a_device():
+    write_bytes(os.devnull, [b"discarded\n"])
 
 
-def test_write_text_of_no_chunks_empties_the_file(tmp_path):
+def test_write_bytes_of_no_chunks_empties_the_file(tmp_path):
     path = tmp_path / "out.txt"
-    write_text(path, "old contents\n")
-    write_text(path, [])
+    write_bytes(path, [b"old contents\n"])
+    write_bytes(path, [])
     assert path.read_bytes() == b""
 
 
 @pytest.mark.parametrize("size", [10, 3 << 20])
-def test_write_text_leaves_no_old_tail_when_a_chunk_fails(tmp_path, size):
-    # the new text, short or past the file object's buffer, then a failure,
-    # over a file twice as long
+def test_write_bytes_leaves_no_old_tail_when_a_chunk_fails(tmp_path, size):
+    # the new bytes, short or past the file object's buffer, then a
+    # failure, over a file twice as long
     path = tmp_path / "out.txt"
     path.write_bytes(b"x" * (2 * size))
-    text = "caf\u00e9\n" * (size // 6)
+    data = "caf\u00e9\n".encode() * (size // 6)
 
     def failing_chunks():
-        yield text
+        yield data
         raise RuntimeError("no more chunks")
 
     with pytest.raises(RuntimeError, match="no more chunks"):
-        write_text(path, failing_chunks())
-    assert path.read_bytes() == text.encode("utf-8")
+        write_bytes(path, failing_chunks())
+    assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("lines", [700, 7000])
+def test_write_bytes_takes_one_bytearray_rewritten_between_pieces(tmp_path, lines):
+    # the runs of one twin class under the heads 1 to 30, most of them one
+    # bytearray patched in place, each shorter than the file's buffer and
+    # copied into it, or longer and written as it is, before the next is made
+    pieces = [b"", *(b"%d\n" % v for v in range(1000, 1000 + lines))]
+    path = tmp_path / "out.col"
+    write_bytes(path, islice(graphio._twin_runs(pieces, 0), 30))
+    want = b"".join(b"e %d %s" % (h, piece) for h in range(1, 31) for piece in pieces[1:])
+    assert first_difference(path.read_bytes(), want) is None
 
 
 def _twins_text(count, edits=(), others=2, newline="\n"):
@@ -850,20 +863,28 @@ def test_from_dimacs_counts_skipped_runs_against_the_problem_line():
 
 
 def _record_templates(monkeypatch):
-    """Make the writer and the reader record the stretches of each run
-    template they build, one (line count, piece length) per stretch; a run
-    whose twins are joined, not patched, builds none."""
-    layouts = []
+    """Make the writer and the reader record the layout ``_stretches`` finds
+    for each twin class, one (line count, piece length) per stretch, where
+    its twins are patched, and the head of each twin run patched in place
+    rather than joined. A class whose twins are all joined records none."""
+    layouts, patched = [], []
+    stretches, twin_runs = graphio._stretches, graphio._twin_runs
 
-    class RecordingRunCopy(graphio._RunCopy):
-        __slots__ = ()
+    def recording_stretches(pieces, run, prefix):
+        layout = stretches(pieces, run, prefix)
+        if layout:
+            layouts.append(layout)
+        return layout
 
-        def __init__(self, run, head, stretches):
-            layouts.append(stretches)
-            super().__init__(run, head, stretches)
+    def recording_twin_runs(pieces, head):
+        for head, run in enumerate(twin_runs(pieces, head), head + 1):
+            if type(run) is bytearray:
+                patched.append(head)
+            yield run
 
-    monkeypatch.setattr(graphio, "_RunCopy", RecordingRunCopy)
-    return layouts
+    monkeypatch.setattr(graphio, "_stretches", recording_stretches)
+    monkeypatch.setattr(graphio, "_twin_runs", recording_twin_runs)
+    return layouts, patched
 
 
 @pytest.mark.parametrize(
@@ -884,16 +905,24 @@ def test_twin_runs_are_written_and_read_across_digit_boundaries(
     monkeypatch, part_sizes, stretch_lines
 ):
     g = complete_multipartite(part_sizes)
-    layouts = _record_templates(monkeypatch)
+    first = range(1, part_sizes[0] + 1)
+    layouts, patched = _record_templates(monkeypatch)
     text = to_dimacs(g)
     written = layouts[:]
     assert [lines for lines, _ in (written[0] if written else [])] == stretch_lines
+    # the writer patches each run of the first class but the first of its
+    # head width
+    want = [h for h in first[1:] if stretch_lines and len(str(h)) == len(str(h - 1))]
+    assert [h for h in patched if h in first] == want
     assert first_difference(text, reference_dimacs(g)) is None
     layouts.clear()
+    patched.clear()
     groups = _record_groups(monkeypatch)
     assert from_dimacs(text) == g
-    # the reader builds the writer's templates from the bytes alone
+    # the reader finds the writer's layouts from the bytes alone, and joins
+    # the first twin, at head 2, which it compares before any is patched
     assert layouts == written
+    assert [h for h in patched if h in first] == [h for h in want if h != 2]
     assert [len(heads) for heads, _ in groups][:1] == [part_sizes[0]]
 
 
@@ -922,13 +951,15 @@ def test_patched_twin_runs_read_like_the_reference(u, i, edit):
 
 
 def test_twin_runs_read_in_crlf_are_patched(monkeypatch):
-    # one template for heads 2 to 9 and one for 10 to 12, each with a
-    # stretch of 87 pieces ``v\r\n`` of two digits and 63 of three
-    layouts = _record_templates(monkeypatch)
+    # one layout for the class, a stretch of 87 pieces ``v\r\n`` of two
+    # digits and 63 of three; the twins under heads 3 to 9 and 11 to 12 are
+    # patched, those under 2 and 10 joined
+    layouts, patched = _record_templates(monkeypatch)
     groups = _record_groups(monkeypatch)
     g = from_dimacs(_twins_text(12, others=150, newline="\r\n"))
     assert g == complete_multipartite([12, 150])
-    assert layouts == [[(87, 4), (63, 5)]] * 2
+    assert layouts == [[(87, 4), (63, 5)]]
+    assert patched == [*range(3, 10), 11, 12]
     assert [heads for heads, _ in groups] == [range(12)]
 
 
@@ -938,10 +969,11 @@ def test_a_run_whose_line_lengths_alternate_is_joined(monkeypatch):
     lines = [f"e {u} {v}" + ("\r\n" if v % 2 else "\n")
              for u in range(1, 41) for v in range(41, 141)]
     text = "c part-sizes 40 100\n" + "".join(lines)
-    layouts = _record_templates(monkeypatch)
+    layouts, patched = _record_templates(monkeypatch)
     groups = _record_groups(monkeypatch)
     assert from_dimacs(text) == reference_parse(text) == complete_multipartite([40, 100])
     assert layouts == []
+    assert patched == []
     assert [heads for heads, _ in groups] == [range(40)]
     assert _split_count(groups) == 100
 
@@ -954,17 +986,21 @@ def test_a_template_is_checked_on_the_run_it_is_built_from(monkeypatch):
     # are joined, not patched
     order = [*range(13, 61), *range(100, 131), *range(61, 100), *range(131, 163)]
     text = "c part-sizes 12 150\n" + "".join(f"e {u} {v}\n" for u in range(1, 13) for v in order)
-    layouts = _record_templates(monkeypatch)
+    layouts, patched = _record_templates(monkeypatch)
     groups = _record_groups(monkeypatch)
     assert from_dimacs(text) == complete_multipartite([12, 150])
     assert layouts == []
+    assert patched == []
     assert [heads for heads, _ in groups] == [range(12)]
     # in the writer's order the same runs get their two stretches, one
-    # template for heads 1 to 9 and one for 10 to 12
+    # layout for the class, and the twins under heads 3 to 9 and 11 to 12
+    # are patched
     text = to_dimacs(complete_multipartite([12, 150]))
     layouts.clear()
+    patched.clear()
     assert from_dimacs(text) == complete_multipartite([12, 150])
-    assert layouts == [[(87, 3), (63, 4)]] * 2
+    assert layouts == [[(87, 3), (63, 4)]]
+    assert patched == [*range(3, 10), 11, 12]
 
 
 def test_from_dimacs_reads_a_shuffled_file_as_single_edges(monkeypatch):
