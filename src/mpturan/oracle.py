@@ -24,8 +24,10 @@ correctness bound, and callers may raise it explicitly. By default it
 skips every assignment that adjacent part and vertex swaps prove is not
 the lexicographically greatest of its orbit (a partial lex-leader check
 after Crawford, Ginsberg, Luks and Roy, KR 1996); every orbit keeps its
-leader, so the values are those of the unpruned search. Each node
-resumes every generator's comparison where its parent left it.
+leader, so the values are those of the unpruned search. Each
+generator's comparison resumes where it stopped once the position it
+stopped at and that position's image are both decided, so a decision
+moves only the comparisons that waited on its pair.
 
 A node pays only for the pair its last decision flipped. The probe for
 a feasible completion, ``find_clique`` in the graph of all pairs not
@@ -39,6 +41,13 @@ those of the full probes. Each child does the cheap work first: its
 include or exclude guard, then the lex scan, then the flip of its pair.
 Both tests are pure and the child is entered only when both pass, so
 the order changes no node.
+
+The search is one loop over an explicit state per decided pair, not a
+recursion: going down a pair records the clique the node holds and the
+comparisons its decision moved, and backing up restores them. A search
+therefore holds the same few Python frames whatever its pair count,
+raises no recursion limit, and takes the same time at whatever stack
+depth it is entered at.
 
 The binary search starts at a proven ceiling, not at (r - 1)n, and
 tries the ceiling first. With t = size - 1 >= 2, N = rn and slack
@@ -67,8 +76,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DomainError, InternalConsistencyError, SizeCapError
-from .graphs import MultipartiteGraph, complete_multipartite
-from .verifier import _clique_in, _with_depth, find_clique, find_crossing_independent
+from .graphs import MultipartiteGraph, empty_graph
+from .verifier import _clique_in, find_clique, find_crossing_independent
 
 __all__ = [
     "MODE_F",
@@ -174,6 +183,10 @@ def _lex_scan(
 ) -> list[tuple[tuple[int, ...], int]] | None:
     """Resume the partial lex-leader check on the decided prefix ``a``.
 
+    ``_decide`` runs this scan inline, and only on the generators that
+    waited on the last decided position; this form over every generator is
+    the reference it is tested against.
+
     ``scans`` pairs each generator still in play with the first position
     at which a shorter prefix of ``a`` left its comparison unsettled; the
     positions before it compare equal for good, so the walk resumes
@@ -242,71 +255,117 @@ def _decide(
     lex-maximal in their orbit under that encoding are pruned. Per child,
     the guard runs before the lex scan, and the pair is flipped only when
     both pass.
+
+    One loop walks the tree depth first, the node with k pairs decided
+    holding state per decided pair instead of a Python frame: the prefix,
+    the clique mask its probe left, and the comparisons its decision moved.
+    A node without a child left backs up one pair and tries that pair's
+    next branch.
     """
-    npairs = len(pairs)
-    template = complete_multipartite((n,) * r)
+    npairs, need = len(pairs), size - 2
+    shape = empty_graph((n,) * r)
+    wrap, parts = shape.with_rows, shape.part_masks
     # rows: the included pairs; comp: every cross pair not excluded, i.e.
-    # the graph that includes all undecided pairs. An include changes only
-    # rows, an exclude only comp.
-    rows = [0] * template.n_vertices
-    comp = list(template.rows)
-    wrap = template.with_rows
-    parts = template.part_masks
+    # the graph that includes all undecided pairs, which starts complete.
+    # An include changes only rows, an exclude only comp.
+    rows = [0] * (r * n)
+    comp = [shape.full_mask ^ pm for pm in parts for _ in range(n)]
     masks = [(u, v, 1 << u, 1 << v) for u, v in pairs]
-    a: list[int] = []
-
-    def rec(
-        k: int,
-        wit: tuple[int, ...] | None,
-        scans: list[tuple[tuple[int, ...], int]],
-    ) -> list[int] | None:
-        """Search below the node with ``k`` pairs decided. ``scans`` is
-        the node's lex-leader state. A child is entered only when its
-        guard passes and then its scan; only then is its pair flipped.
-
-        ``wit`` is the clique of comp that the nearest probe above found,
-        or None where a probe is due: at the entry node, and below an
-        exclude that breaks the clique, having both ends in it. While it
-        stays a clique the probe is skipped, since it could only find a
-        clique again.
-        """
-        if wit is None:
-            wit = find_clique(wrap(comp), size)
-            if wit is None:
+    # The lex scans, by the position each waits on: a generator whose
+    # comparison stopped at p, undecided, resumes once both p and its image
+    # pi[p] are decided, so a decision at k moves only the scans in
+    # waiting[k]; every other scan is left as _lex_scan would leave it.
+    waiting: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(npairs)]
+    for pi in gens:
+        waiting[pi[0]].append((pi, 0))
+    # The node with k pairs decided: a[:k], its decided prefix, 1 where a
+    # pair was excluded; wit, the mask of the clique of comp that the
+    # nearest probe above it found; excluded, the branch it tries next (1,
+    # then 0, then none). Per decided pair j, wits[j] holds the wit of the
+    # node that decided it and moves[j] the scans its decision moved.
+    a, wits = [0] * npairs, [0] * npairs
+    moves: list[list[int]] = [[]] * npairs
+    k, wit, excluded, probe = 0, 0, 1, True
+    while True:
+        if probe:
+            # at the entry node, and below an exclude that broke the clique,
+            # having both ends in it; while the clique stands the probe is
+            # skipped, since it could only find a clique again
+            clique = find_clique(wrap(comp), size)
+            if clique is None:
                 # include everything still open, which lands the degrees
                 # on comp, kept at or above the target by the exclude guard
                 return comp[:]
-        if k == npairs:
-            return None
-        u, v, bu, bv = masks[k]
-        for excluded in (1, 0):
-            if excluded:
-                # comp degrees are the most each vertex can still reach
-                if comp[u].bit_count() <= bound or comp[v].bit_count() <= bound:
-                    continue
-                side = comp
-                child_wit = None if u in wit and v in wit else wit
-            else:
-                # rows has no clique, so a new one would hold u and v
-                if _clique_in(rows, parts, rows[u] & rows[v], size - 2) is not None:
-                    continue
-                side, child_wit = rows, wit
-            a.append(excluded)
-            child = _lex_scan(scans, a)
-            if child is not None:
-                side[u] ^= bv
-                side[v] ^= bu
-                found = rec(k + 1, child_wit, child)
-                side[u] ^= bv
-                side[v] ^= bu
-                if found is not None:
-                    return found
-            a.pop()
-        return None
-
-    # rec nests one frame per decided pair, and each probe's clique
-    # search up to one per vertex of the forbidden clique
-    return _with_depth(npairs + size, rec, 0, None, [(pi, 0) for pi in gens])
+            wit = 0
+            for x in clique:
+                wit |= 1 << x
+        # the node's next child: its guard, then its lex scan; back up from
+        # a node that has none left
+        while True:
+            moved = None
+            if k < npairs:
+                u, v, bu, bv = masks[k]
+                d = k + 1
+                while excluded >= 0:
+                    if excluded:
+                        # comp degrees are the most each vertex can still reach
+                        passes = comp[u].bit_count() > bound and comp[v].bit_count() > bound
+                    else:
+                        # rows has no clique, so a new one would hold u, v
+                        # and a clique on need of their common neighbors
+                        cand = rows[u] & rows[v]
+                        if need == 2:
+                            passes, m = True, cand
+                            while m:
+                                b = m & -m
+                                if rows[b.bit_length() - 1] & cand:
+                                    passes = False
+                                    break
+                                m ^= b
+                        elif need > 2:
+                            passes = _clique_in(rows, parts, cand, need) is None
+                        else:
+                            passes = need == 1 and not cand
+                    if passes:
+                        a[k] = excluded
+                        moved = []
+                        for pi, p in waiting[k]:
+                            while p < d and pi[p] < d and a[p] == a[pi[p]]:
+                                p += 1
+                            if p < d and pi[p] < d:
+                                if a[p] < a[pi[p]]:
+                                    for w in moved:
+                                        waiting[w].pop()
+                                    moved = None
+                                    break
+                            elif p < npairs:
+                                w = pi[p]
+                                if w < p:
+                                    w = p
+                                waiting[w].append((pi, p))
+                                moved.append(w)
+                        if moved is not None:
+                            break
+                    excluded -= 1
+            if moved is not None:
+                break
+            if not k:
+                return None
+            k -= 1
+            excluded, wit = a[k], wits[k]
+            for w in moves[k]:
+                waiting[w].pop()
+            u, v, bu, bv = masks[k]
+            side = comp if excluded else rows
+            side[u] ^= bv
+            side[v] ^= bu
+            excluded -= 1
+        wits[k], moves[k] = wit, moved
+        side = comp if excluded else rows
+        side[u] ^= bv
+        side[v] ^= bu
+        probe = excluded and wit & (bu | bv) == bu | bv
+        k, excluded = k + 1, 1
 
 
 def _solve(

@@ -57,7 +57,8 @@ def _clique_in(
     order. In each it branches on every candidate, lowest first, then
     moves past the part; it stops once fewer live parts remain than
     vertices are missing. A clique never holds two vertices of one part,
-    so the recursion is one frame per clique vertex. A twin of a vertex
+    so the recursion is one frame per clique vertex but the last two, whose
+    levels one loop walks as the two-vertex case does. A twin of a vertex
     already tried fails as that vertex did, so a ``cand`` with one vertex
     per class of twins gives the same answer from less search.
     """
@@ -88,9 +89,20 @@ def _clique_in(
             b = m & -m
             v = b.bit_length() - 1
             m ^= b
-            rest = _clique_in(rows, part_masks, cand & rows[v], k - 1)
-            if rest is not None:
-                return (v, *rest)
+            sub = cand & rows[v]
+            if k > 3:
+                rest = _clique_in(rows, part_masks, sub, k - 1)
+                if rest is not None:
+                    return (v, *rest)
+                continue
+            # the last two levels: the two-vertex case above on sub
+            m2 = sub
+            while m2:
+                b2 = m2 & -m2
+                nb = rows[b2.bit_length() - 1] & sub
+                if nb:
+                    return v, b2.bit_length() - 1, (nb & -nb).bit_length() - 1
+                m2 ^= b2
         cand &= ~pm
     return None
 

@@ -926,9 +926,7 @@ def test_twin_runs_are_written_and_read_across_digit_boundaries(
     assert [len(heads) for heads, _ in groups][:1] == [part_sizes[0]]
 
 
-@pytest.mark.parametrize("u", [2, 9, 10, 12])
-@pytest.mark.parametrize("i", [0, 86, 87, 149])
-@pytest.mark.parametrize(
+_EDIT_ONE_LINE = pytest.mark.parametrize(
     "edit",
     [
         lambda u, v: f"e {u} {v + 1}",  # one neighbor digit
@@ -939,6 +937,11 @@ def test_twin_runs_are_written_and_read_across_digit_boundaries(
     ],
     ids=["neighbor", "head", "crlf", "zero-neighbor", "zero-head"],
 )
+
+
+@pytest.mark.parametrize("u", [2, 9, 10, 12])
+@pytest.mark.parametrize("i", [0, 86, 87, 149])
+@_EDIT_ONE_LINE
 def test_patched_twin_runs_read_like_the_reference(u, i, edit):
     # vertices 1 to 12 are twins joined to the 150 vertices of part 1, so
     # each run has a stretch of 87 lines (neighbors 13 to 99) and one of 63
@@ -948,6 +951,25 @@ def test_patched_twin_runs_read_like_the_reference(u, i, edit):
     run[i] = edit(u, 13 + i)
     text = _twins_text(12, {u: "\n".join(run)}, others=150)
     assert read_outcome(from_dimacs, text) == read_outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("u", [20, 21, 30])
+@pytest.mark.parametrize("i", [0, 66, 67, 149])
+@_EDIT_ONE_LINE
+def test_patched_twin_runs_read_like_the_reference_across_a_carry(monkeypatch, u, i, edit):
+    # vertices 1 to 32 are twins joined to the 150 vertices of part 1, so
+    # each run has a stretch of 67 lines (neighbors 33 to 99) and one of 83
+    # (100 to 182); the twins under heads 3 to 9 and 11 to 32 are patched,
+    # and the heads 19 -> 20 and 29 -> 30 carry into the tens digit. Line
+    # i of vertex u's run is edited, so the twins before it are one class:
+    # a reader whose carry rewrote only the last digit would compare vertex
+    # 20's run with one under head 10 and end that class at vertex 19
+    run = [f"e {u} {v}" for v in range(33, 183)]
+    run[i] = edit(u, 33 + i)
+    text = _twins_text(32, {u: "\n".join(run)}, others=150)
+    groups = _record_groups(monkeypatch)
+    assert read_outcome(from_dimacs, text) == read_outcome(reference_parse, text)
+    assert groups[0][0] == range(u - 1)
 
 
 def test_twin_runs_read_in_crlf_are_patched(monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -513,6 +514,52 @@ def test_decide_matches_the_loop_it_replaced():
                     cases += 1
                     feasible += rows is not None
     assert (cases, feasible) == (1212, 750)
+
+
+def test_decide_matches_the_loop_it_replaced_across_the_cap_grid():
+    # every cap-grid instance, searched as the default search does, with
+    # the lex-leader generators, at its ceiling and one below it (size 2
+    # has ceiling 0, so only that), in the default order and two seeded ones
+    cases, feasible = 0, 0
+    for n, r, s in PLAIN:
+        top = oracle._ceiling(n, r, s)
+        for seed in (None, 1, 2):
+            pairs = oracle._cross_pairs(n, r, seed)
+            gens = oracle._position_perms(n, r, pairs)
+            for bound in range(max(top - 1, 0), top + 1):
+                rows = oracle._decide(n, r, s, bound, pairs, gens)
+                assert rows == _decide_before(n, r, s, bound, 0, pairs, gens), (n, r, s, seed, bound)
+                cases += 1
+                feasible += rows is not None
+    # the ceiling is the answer on all but two instances, in every order
+    assert (cases, feasible) == (411, 405)
+
+
+@pytest.mark.parametrize("above", [0, 1], ids=["ceiling", "refuted"])
+def test_every_probe_of_a_search_runs_at_one_stack_depth(monkeypatch, above):
+    """The decision search keeps one state per decided pair in lists, not
+    one Python frame, so each probe runs at the depth the search was
+    entered at. The recursion it replaced probed one frame deeper per
+    decided pair, and its time moved up to 2x with the caller's depth."""
+    depths = []
+    real = oracle.find_clique
+
+    def probe(g, size):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        depths.append(depth)
+        return real(g, size)
+
+    monkeypatch.setattr(oracle, "find_clique", probe)
+    n, r, size = 1, 10, 4
+    pairs = oracle._cross_pairs(n, r, None)
+    gens = oracle._position_perms(n, r, pairs)
+    bound = oracle._ceiling(n, r, size) + above
+    rows = oracle._decide(n, r, size, bound, pairs, gens)
+    assert (rows is None) == bool(above)
+    assert len(depths) > 1
+    assert set(depths) == {depths[0]}
 
 
 def test_open_case_audit_2_7_4():

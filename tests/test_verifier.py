@@ -312,12 +312,13 @@ def test_clique_kernel_matches_the_reference_search(g):
 @given(multipartite_graphs(max_parts=6, max_part_size=3), st.integers(0, (1 << 18) - 1))
 def test_clique_kernel_small_sizes_match_the_reference_search(g, bits):
     # the kernel on a candidate set, not the whole graph, at the sizes with
-    # their own base cases (0, 1 and 2) and the first size that walks parts
+    # their own base cases (0, 1 and 2), the first size that walks parts,
+    # whose last two levels are one loop, and the first that recurses
     cand = bits & g.full_mask
     sub = SimpleNamespace(
         rows=g.rows, part_masks=g.part_masks, n_parts=g.n_parts, full_mask=cand
     )
-    for k in (0, 1, 2, 3):
+    for k in (0, 1, 2, 3, 4):
         got = verifier._clique_in(g.rows, g.part_masks, cand, k)
         assert got == _reference_find(sub, k, False), (cand, k)
 
