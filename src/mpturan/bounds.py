@@ -55,21 +55,24 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _check_instance(n: int, r: int, t: int) -> None:
+def _decompose_instance(n: int, r: int, t: int) -> tuple[int, int]:
+    """``decompose(r, t)`` once n is checked to be a part size."""
+    # ``type(x) is int`` refuses floats, strings and bools alike
+    if type(n) is not int:
+        raise DomainError(f"part size n must be an int, got {n!r}")
     if n < 1:
         raise DomainError(f"part size n must be >= 1, got {n}")
-    if t < 2:
-        raise DomainError(f"forbidden-clique parameter t must be >= 2, got {t}")
-    if r <= t:
-        raise DomainError(f"need more parts than colors, got r={r} <= t={t}")
+    return decompose(r, t)
 
 
 def decompose(r: int, t: int) -> tuple[int, int]:
     """Residue decomposition r = m*t - a with m = ceil(r/t), 0 <= a <= t - 1."""
+    if not (type(r) is type(t) is int):
+        raise DomainError(f"r and t must be ints, got r={r!r}, t={t!r}")
     if t < 2:
-        raise DomainError(f"t must be >= 2, got {t}")
+        raise DomainError(f"forbidden-clique parameter t must be >= 2, got {t}")
     if r <= t:
-        raise DomainError(f"need r > t, got r={r}, t={t}")
+        raise DomainError(f"need more parts than colors, got r={r} <= t={t}")
     m = ceil_div(r, t)
     return m, m * t - r
 
@@ -144,6 +147,8 @@ def transversal_clique_value(n: int, r: int) -> int:
     For even r the value is (r - 1) * n - ceil(r * n / (2 * (r - 1)));
     odd r reduces to the preceding even case plus n.
     """
+    if not (type(n) is type(r) is int):
+        raise DomainError(f"n and r must be ints, got n={n!r}, r={r!r}")
     if n < 1:
         raise DomainError(f"part size n must be >= 1, got {n}")
     if r < 2:
@@ -187,9 +192,7 @@ def transfer_large_n(n: int, r: int, t: int) -> bool:
     evaluated exactly, as one integer comparison after multiplying both
     sides by n and the common denominator. Monotone nondecreasing in n.
     """
-    if n < 1:
-        raise DomainError(f"part size n must be >= 1, got {n}")
-    m, a = decompose(r, t)
+    m, a = _decompose_instance(n, r, t)
     if not _large_n_applies(m, a):
         raise NotApplicableError(
             f"large-parts transfer needs 2 <= a <= min(m, t-1), got m={m}, a={a}"
@@ -252,8 +255,7 @@ _BY_NAME = {family.name: family for family in _FAMILIES}
 
 
 def _evaluate(name: str, n: int, r: int, t: int, requirement: str) -> int:
-    _check_instance(n, r, t)
-    m, a = decompose(r, t)
+    m, a = _decompose_instance(n, r, t)
     family = _BY_NAME[name]
     if not family.guard(t, m, a):
         raise NotApplicableError(f"{requirement}, got r={r}, t={t} (m={m}, a={a})")
@@ -269,8 +271,7 @@ def turan_sandwich(n: int, r: int, t: int) -> tuple[int, Fraction]:
     """
     from fractions import Fraction
 
-    _check_instance(n, r, t)
-    m, a = decompose(r, t)
+    m, a = _decompose_instance(n, r, t)
     return _balanced(n, r, t, m, a), Fraction((r * t - r) * n, t)
 
 
@@ -285,8 +286,7 @@ def exact_value_cases(n: int, r: int, t: int) -> int | None:
     r = t + 1, so (3, 4, 3) gives None here while ``best_known_bounds``
     reports it exact at 7.
     """
-    _check_instance(n, r, t)
-    m, a = decompose(r, t)
+    m, a = _decompose_instance(n, r, t)
     settled = [f for f in _FAMILIES if f.value is _balanced and f.role == "exact"]
     return _balanced(n, r, t, m, a) if any(f.guard(t, m, a) for f in settled) else None
 
@@ -366,6 +366,8 @@ def _check_composition(n: int, r0: int, t0: int, k: int, delta0: Fraction | int 
     """The block composition's argument checks; every division in its
     formulas, and in the stock delta0 = ceil(r0 / (t0 - 1)) - 1, is
     defined once they pass."""
+    if not (type(n) is type(r0) is type(t0) is type(k) is int):
+        raise DomainError(f"n, r0, t0 and k must be ints, got {n!r}, {r0!r}, {t0!r}, {k!r}")
     if not 2 <= t0 <= r0:
         raise DomainError(f"need 2 <= t0 <= r0, got t0={t0}, r0={r0}")
     if k < 2:
@@ -421,10 +423,12 @@ class Bound(NamedTuple):
 class BoundReport(NamedTuple):
     """Everything known about one instance (n, r, t).
 
-    ``status`` is "exact" when the best certified lower and upper bounds
-    coincide and "bounded" otherwise; "open" is reserved for instances no
-    recorded statement reaches, which does not currently occur. Dominated
-    bounds are kept so callers can explain where each number comes from.
+    ``best_lower`` and ``best_upper`` are the envelope: the largest lower
+    and the smallest upper bound whose conditions are met. ``status`` is
+    "exact" when they coincide and "bounded" otherwise; "open" is reserved
+    for instances no recorded statement reaches, which does not currently
+    occur. Dominated bounds are kept so callers can explain where each
+    number comes from.
     """
 
     n: int
@@ -432,17 +436,11 @@ class BoundReport(NamedTuple):
     t: int
     lower_bounds: tuple[Bound, ...]
     upper_bounds: tuple[Bound, ...]
+    best_lower: int
+    best_upper: int
     exact: int | None
     status: str
     notes: tuple[str, ...] = ()
-
-    @property
-    def best_lower(self) -> int:
-        return max(b.value for b in self.lower_bounds if b.conditions_met)
-
-    @property
-    def best_upper(self) -> int:
-        return min(b.value for b in self.upper_bounds if b.conditions_met)
 
     def to_json_dict(self) -> dict:
         return {
@@ -481,8 +479,7 @@ def best_known_bounds(n: int, r: int, t: int) -> BoundReport:
     upper bound is listed always but counts toward the envelope only when
     a transfer condition certifies f = d at this instance.
     """
-    _check_instance(n, r, t)
-    m, a = decompose(r, t)
+    m, a = _decompose_instance(n, r, t)
     lowers: list[Bound] = []
     uppers: list[Bound] = []
     for family in _FAMILIES:
@@ -506,6 +503,8 @@ def best_known_bounds(n: int, r: int, t: int) -> BoundReport:
         t=t,
         lower_bounds=tuple(lowers),
         upper_bounds=tuple(uppers),
+        best_lower=best_lower,
+        best_upper=best_upper,
         exact=exact,
         status=status,
         notes=notes,

@@ -237,14 +237,14 @@ def _render_report_text(report) -> str:
         lines.append(f"{head} = {report.exact}  [exact]")
     else:
         lines.append(f"{head} in [{report.best_lower}, {report.best_upper}]  [bounded]")
-    lines.append("  lower bounds:")
-    for b in sorted(report.lower_bounds, key=lambda b: -b.value):
-        mark = "" if b.conditions_met else "  (condition not met)"
-        lines.append(f"    {b.value:>8}  {b.source}{mark}")
-    lines.append("  upper bounds:")
-    for b in sorted(report.upper_bounds, key=lambda b: b.value):
-        mark = "" if b.conditions_met else "  (condition not met)"
-        lines.append(f"    {b.value:>8}  {b.source}{mark}")
+    # lower bounds largest first, upper bounds smallest first
+    for side, bounds, sign in (
+        ("lower", report.lower_bounds, -1), ("upper", report.upper_bounds, 1)
+    ):
+        lines.append(f"  {side} bounds:")
+        for b in sorted(bounds, key=lambda b: sign * b.value):
+            mark = "" if b.conditions_met else "  (condition not met)"
+            lines.append(f"    {b.value:>8}  {b.source}{mark}")
     for note in report.notes:
         lines.append(f"  note: {note}")
     return "\n".join(lines)

@@ -117,6 +117,8 @@ def turan_blowup(n: int, r: int, t: int) -> ConstructionOutput:
     floor(r/t) * n. The graph is t-chromatic, has no clique on t + 1
     vertices, and its minimum degree is (r - ceil(r/t)) * n.
     """
+    if not (type(n) is type(r) is type(t) is int):
+        raise DomainError(f"n, r and t must be ints, got n={n!r}, r={r!r}, t={t!r}")
     if n < 1:
         raise DomainError(f"part size n must be >= 1, got {n}")
     if not 2 <= t <= r:

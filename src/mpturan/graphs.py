@@ -76,10 +76,12 @@ def bit_indices(mask: int, start: int = 0) -> Iterator[int]:
 
 
 def _normalized_part_sizes(part_sizes: Iterable[int]) -> tuple[int, ...]:
-    sizes = tuple(int(s) for s in part_sizes)
+    sizes = tuple(part_sizes)
     if not sizes:
         raise GraphStructureError("need at least one part")
     for s in sizes:
+        if type(s) is not int:  # a float or a bool too
+            raise GraphStructureError(f"part sizes must be ints, got {sizes}")
         if s < 1:
             raise GraphStructureError(f"part sizes must be >= 1, got {sizes}")
     return sizes

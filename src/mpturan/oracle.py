@@ -95,24 +95,13 @@ MODE_DELTA = "delta"
 DEFAULT_CAP = 10
 
 
-class ProcessPoolExecutor:
-    """``concurrent.futures.ProcessPoolExecutor``, imported when the first
+def ProcessPoolExecutor(max_workers: int):
+    """A ``concurrent.futures.ProcessPoolExecutor``, imported when the first
     pool opens. Only a pooled audit opens one, and the import, with
     ``multiprocessing``, would otherwise cost every process's start-up."""
+    import concurrent.futures
 
-    def __init__(self, *args, **kwargs) -> None:
-        import concurrent.futures
-
-        self._pool = concurrent.futures.ProcessPoolExecutor(*args, **kwargs)
-
-    def submit(self, fn, /, *args, **kwargs):
-        return self._pool.submit(fn, *args, **kwargs)
-
-    def __enter__(self) -> ProcessPoolExecutor:
-        return self
-
-    def __exit__(self, *exc) -> bool | None:
-        return self._pool.__exit__(*exc)
+    return concurrent.futures.ProcessPoolExecutor(max_workers)
 
 
 class OracleResult(NamedTuple):
@@ -393,6 +382,8 @@ def _solve(
     (r - 1)n. Module-level, so that ``duality_audit`` can hand it to a
     process.
     """
+    if not (type(n) is type(r) is type(size) is type(cap) is int):
+        raise DomainError(f"n, r, size and cap must be ints, got {n!r}, {r!r}, {size!r}, {cap!r}")
     if n < 1:
         raise DomainError(f"part size must be >= 1, got n={n}")
     if r < 2:

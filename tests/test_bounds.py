@@ -55,6 +55,34 @@ def test_decompose_identity():
             assert m == ceil_div(r, t)
 
 
+# a float, an integral float, a bool and a string, none of them an int
+_NOT_INTS = (2.5, 7.0, True, "3")
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS)
+@pytest.mark.parametrize(
+    "entry, args, i",
+    [
+        (entry, args, i)
+        for entry, args in [
+            (best_known_bounds, (5, 7, 3)),
+            (sliced_value, (5, 7, 3)),
+            (transversal_clique_value, (5, 4)),
+            (decompose, (7, 3)),
+            (transfer_large_n, (20, 10, 3)),
+            (composition_bound, (4, 2, 2, 2, 1)),  # delta0 may be a Fraction
+        ]
+        for i in range(len(args) - (entry is composition_bound))
+    ],
+)
+def test_sizes_that_are_not_ints_are_refused(entry, args, i, bad):
+    # once returned wrong values, 10.0 for best_known_bounds(2.5, 7, 3)
+    # and (3.0, 2.0) for decompose(7.0, 3)
+    entry(*args)
+    with pytest.raises(DomainError, match="must be (an int|ints)"):
+        entry(*args[:i], bad, *args[i + 1:])
+
+
 def test_turan_sandwich():
     assert turan_sandwich(1, 5, 3) == (3, Fraction(10, 3))
     assert turan_sandwich(2, 7, 3) == (8, Fraction(28, 3))

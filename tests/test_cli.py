@@ -619,6 +619,31 @@ def test_table_text_output(capsys):
     assert any("496" in line and "498" in line for line in lines)
 
 
+def test_bounds_and_table_text_bytes_are_pinned(capsys):
+    """One hash over (exit code, stdout, stderr) of 385 ``bounds`` calls
+    in text, n in {1, 2, 7, 60, 777}, t in 2..8 and r in t+1..3t+1, and of
+    ``table`` in text over five ranges. The grid holds the (r, t) = (7, 3)
+    note and chromatic upper bounds whose transfer condition fails. It
+    guards the text renderers against any change in what they print."""
+    h = hashlib.sha256()
+    outs = []
+    for n in (1, 2, 7, 60, 777):
+        for t in range(2, 9):
+            for r in range(t + 1, 3 * t + 2):
+                result = run(capsys, "bounds", "--n", str(n), "--r", str(r), "--t", str(t))
+                h.update(repr(result).encode())
+                outs.append(result[1])
+    for argv in ("--n 60 --t 3", "--n 1 --t 2 --r 3..20", "--n 7 --t 5 --r 6..40",
+                 "--n 777 --t 7 --r 8..60", "--n 2 --t 4 --r 9"):
+        result = run(capsys, "table", *argv.split())
+        h.update(repr(result).encode())
+        outs.append(result[1])
+    assert len(outs) == 390
+    assert sum("  note: f(n, 7, 3) is open" in out for out in outs) == 5
+    assert any("chromatic-transfer  (condition not met)" in out for out in outs)
+    assert h.hexdigest() == "7f727e1fbbd2e29ac773b3a84f1713737363d35fc367c0358aff825a8230b06c"
+
+
 _BAD_GRAPH_FILES = {
     "problem line": b"c part-sizes 1 1\np edge x 1\ne 1 2\n",
     "edge line": b"c part-sizes 1 1\np edge 2 1\ne 1 z\n",

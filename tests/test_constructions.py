@@ -43,6 +43,20 @@ def test_turan_blowup_balanced_classes():
     assert sizes == [2, 4, 4]
 
 
+@pytest.mark.parametrize("bad", [2.5, 7.0, True, "3"])
+@pytest.mark.parametrize("i", [0, 1, 2])
+@pytest.mark.parametrize(
+    "build, args",
+    [(turan_blowup, (2, 7, 3)), (sliced_blowup, (2, 7, 3)), (apex_blowup, (2, 14, 6))],
+    ids=["turan", "sliced", "apex"],
+)
+def test_sizes_that_are_not_ints_are_refused(build, args, i, bad):
+    # sliced_blowup(2.5, 7, 3) once ended in a TypeError traceback
+    build(*args)
+    with pytest.raises(DomainError, match="must be (an int|ints)"):
+        build(*args[:i], bad, *args[i + 1:])
+
+
 def test_turan_blowup_divisible():
     out = turan_blowup(1, 6, 3)
     assert out.graph.min_degree() == 4

@@ -34,6 +34,17 @@ def test_empty_graph():
     assert g.degree(0) == 0
 
 
+@pytest.mark.parametrize("sizes", [[2.7, 1], [2, 1.0], [True, 3], [1, "3"]])
+@pytest.mark.parametrize(
+    "build", [empty_graph, lambda sizes: from_edges(sizes, [(0, 2)])], ids=["empty", "edges"]
+)
+def test_part_sizes_that_are_not_ints_are_refused(build, sizes):
+    # from_edges once truncated [2.7, 1] to parts (2, 1), and empty_graph
+    # built parts (1, 3) from [True, "3"]
+    with pytest.raises(GraphStructureError, match="part sizes must be ints"):
+        build(sizes)
+
+
 def test_part_bookkeeping():
     g = empty_graph([2, 3, 1])
     assert g.part_masks == (0b000011, 0b011100, 0b100000)

@@ -113,13 +113,13 @@ def test_oracle_variants_agree():
 
 def test_one_pool_serves_a_whole_audit(monkeypatch):
     opened = []
+    open_pool = oracle.ProcessPoolExecutor
 
-    class CountingPool(oracle.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(args)
-            super().__init__(*args, **kwargs)
+    def counting_pool(*args, **kwargs):
+        opened.append(args)
+        return open_pool(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", counting_pool)
     pooled = duality_audit(2, 5, 4, jobs=2)
     assert opened == [(1,)]
     assert duality_audit(2, 5, 4) == pooled
@@ -150,6 +150,17 @@ def test_audit_rechecks_catch_a_bad_witness(monkeypatch, kind, match):
     monkeypatch.setattr(oracle, "oracle_f", bad_oracle_f)
     with pytest.raises(InternalConsistencyError, match=match):
         duality_audit(2, 3, 3)
+
+
+@pytest.mark.parametrize("entry", [oracle_f, oracle_delta, duality_audit])
+@pytest.mark.parametrize(
+    "bad", [{"n": 1.5}, {"r": 4.0}, {"size": True}, {"cap": 10.0}], ids=repr
+)
+def test_sizes_that_are_not_ints_are_refused(entry, bad):
+    # oracle_f(1.5, 4, 3) once ended in a TypeError traceback
+    args = {"n": 1, "r": 4, "size": 3, "cap": DEFAULT_CAP, **bad}
+    with pytest.raises(DomainError, match="must be ints"):
+        entry(args["n"], args["r"], args["size"], cap=args["cap"])
 
 
 def test_size_cap():
